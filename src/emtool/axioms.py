@@ -1,7 +1,9 @@
 """The three generator axioms: irreducibility, unifilarity, distinct states.
 
-Also holds the synchronizing-word search that separates exact machines
-(finite synchronizing word) from nonexact ones.
+Also holds the graph and partition primitives they rest on (strongly
+connected and terminal components, partition refinement) and the
+synchronizing-word search that separates exact machines (finite
+synchronizing word) from nonexact ones.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnifilarError
-from .machine import LabeledMatrixMachine
+from .machine import LabeledMatrixMachine, require_unifilar
 
 # Probability vectors are compared entrywise within this tolerance when
 # refining the state partition.
@@ -51,11 +52,6 @@ class AxiomReport:
     @property
     def is_generator_em(self) -> bool:
         return bool(self.irreducible and self.unifilar and self.probabilistically_distinct)
-
-
-def _positive_adjacency(machine: LabeledMatrixMachine):
-    pos = (machine.matrices > 0.0).any(axis=0)
-    return [list(np.flatnonzero(pos[i])) for i in range(machine.n_states)]
 
 
 def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
@@ -110,11 +106,48 @@ def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
+def terminal_components(adj: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components that no edge leaves, in the order of
+    ``strongly_connected_components``."""
+    sccs = strongly_connected_components(adj)
+    comp_of = [0] * len(adj)
+    for k, comp in enumerate(sccs):
+        for v in comp:
+            comp_of[v] = k
+    return [
+        comp
+        for k, comp in enumerate(sccs)
+        if all(comp_of[w] == k for v in comp for w in adj[v])
+    ]
+
+
+def refine_partition(delta: np.ndarray, labels) -> np.ndarray:
+    """Coarsest refinement of the partition ``labels`` that ``delta`` respects.
+
+    ``delta`` is an (n, k) successor table with -1 for an undefined move.
+    Two states stay in one block only if, on every symbol, both moves are
+    undefined or both lead into the same block.  Moore rounds split every
+    block by the signature (block, successor blocks) until the block count
+    stops growing, at most n - 1 times (Hopcroft 1971 orders the splits to
+    reach the same coarsest congruence in O(k n log n)).  Returns the block
+    index of each state, numbered in signature order.
+    """
+    delta = np.asarray(delta, dtype=np.int64)
+    block = np.unique(np.asarray(labels), return_inverse=True)[1].reshape(-1)
+    while True:
+        succ = np.where(delta >= 0, block[delta], -1)
+        new = np.unique(np.column_stack([block, succ]), axis=0, return_inverse=True)[1]
+        new = new.reshape(-1)
+        if new.max() == block.max():
+            return new
+        block = new
+
+
 def is_irreducible(machine: LabeledMatrixMachine):
     """True iff the positive-edge digraph is one strongly connected component.
 
     Returns (flag, scc_list)."""
-    sccs = strongly_connected_components(_positive_adjacency(machine))
+    sccs = machine._sccs
     return len(sccs) == 1, sccs
 
 
@@ -122,29 +155,18 @@ def is_unifilar(machine: LabeledMatrixMachine):
     """True iff every (state, symbol) has at most one positive edge.
 
     Returns (flag, violating (state, symbol) pairs)."""
-    counts = (machine.matrices > 0.0).sum(axis=2)  # (symbol, state)
-    bad = [(int(i), int(x)) for x, i in zip(*np.nonzero(counts > 1))]
-    bad.sort()
+    bad = list(machine._nonunifilar_pairs)
     return not bad, bad
 
 
 def unifilar_transitions(machine: LabeledMatrixMachine) -> list[list[int | None]]:
     """delta[state][symbol] -> successor index or None, for unifilar machines."""
-    delta: list[list[int | None]] = []
-    for i in range(machine.n_states):
-        row: list[int | None] = []
-        for x in range(machine.n_symbols):
-            nz = np.flatnonzero(machine.matrices[x][i] > 0.0)
-            if nz.size > 1:
-                raise NotUnifilarError(f"state {i} has {nz.size} edges on symbol {x}")
-            row.append(int(nz[0]) if nz.size else None)
-        delta.append(row)
-    return delta
+    return [[None if j < 0 else j for j in row] for row in machine._delta.tolist()]
 
 
 def next_symbol_probs(machine: LabeledMatrixMachine) -> np.ndarray:
-    """(state, symbol) matrix of one-step emission probabilities."""
-    return machine.matrices.sum(axis=2).T
+    """(state, symbol) matrix of one-step emission probabilities (read-only)."""
+    return machine._emission_probs
 
 
 def distinctness_partition(
@@ -152,50 +174,27 @@ def distinctness_partition(
 ) -> StatePartition:
     """Coarsest partition whose blocks agree on the probability of every word.
 
-    Moore-style refinement: seed blocks by the next-symbol probability
-    vector (compared entrywise within ``tolerance``), then refine by the
-    per-symbol successor-block signature until a fixpoint; at most N - 1
-    refinement rounds are needed.
+    Seed blocks by the next-symbol probability vector (each state joins
+    the first block whose lowest member's vector matches entrywise within
+    ``tolerance``), then refine by successor blocks to the coarsest
+    congruence.  Blocks are sorted, and ordered by lowest member.
     """
-    ok, pairs = is_unifilar(machine)
-    if not ok:
-        raise NotUnifilarError(f"machine is not unifilar at (state, symbol) pairs {pairs}")
-    n = machine.n_states
+    require_unifilar(machine)
     probs = next_symbol_probs(machine)
-    delta = unifilar_transitions(machine)
-
-    # Seed: group states whose emission vectors match within tolerance.
-    blocks: list[list[int]] = []
-    for i in range(n):
-        for block in blocks:
-            if np.abs(probs[i] - probs[block[0]]).max() <= tolerance:
-                block.append(i)
+    seed: list[int] = []
+    reps: list[int] = []
+    for i in range(machine.n_states):
+        for b, r in enumerate(reps):
+            if np.abs(probs[i] - probs[r]).max() <= tolerance:
+                seed.append(b)
                 break
         else:
-            blocks.append([i])
-
-    for _ in range(max(n - 1, 1)):
-        block_of = [0] * n
-        for k, block in enumerate(blocks):
-            for s in block:
-                block_of[s] = k
-        refined: list[list[int]] = []
-        for block in blocks:
-            groups: dict[tuple, list[int]] = {}
-            for s in block:
-                sig = tuple(
-                    block_of[delta[s][x]] if delta[s][x] is not None else -1
-                    for x in range(machine.n_symbols)
-                )
-                groups.setdefault(sig, []).append(s)
-            refined.extend(groups.values())
-        if len(refined) == len(blocks):
-            blocks = refined
-            break
-        blocks = refined
-    blocks = [sorted(b) for b in blocks]
-    blocks.sort(key=lambda b: b[0])
-    return StatePartition(blocks=blocks)
+            seed.append(len(reps))
+            reps.append(i)
+    blocks: dict[int, list[int]] = {}
+    for s, b in enumerate(refine_partition(machine._delta, seed).tolist()):
+        blocks.setdefault(b, []).append(s)
+    return StatePartition(blocks=list(blocks.values()))
 
 
 def separating_word(machine: LabeledMatrixMachine, i: int, j: int, tolerance: float = EPS_DIST):
@@ -261,9 +260,7 @@ def find_sync_word(machine: LabeledMatrixMachine, max_len: int | None = None):
     """
     from .machine import stationary_distribution, word_prob_from_distribution
 
-    ok, pairs = is_unifilar(machine)
-    if not ok:
-        raise NotUnifilarError(f"machine is not unifilar at (state, symbol) pairs {pairs}")
+    require_unifilar(machine)
     n = machine.n_states
     if max_len is None:
         max_len = 4 * n

@@ -41,7 +41,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_machine(path: str):
-    machine, warnings, *_ = fileio.parse_machine(_read_text(path))
+    machine, warnings, _ = fileio.parse_machine(_read_text(path))
     for w in warnings:
         print(f"warning: {path}: {w}", file=sys.stderr)
     return machine
@@ -191,7 +191,8 @@ def _print_recon_report(result) -> None:
             f"belief classes: {diag['n_classes']} ({diag['n_transient']} transient)",
             file=err,
         )
-        words = [result.machine.alphabet.format_word(w) or "(empty)" for w in diag["state_words"]]
+        fmt = result.machine.alphabet.format_word
+        words = ["(none)" if w is None else fmt(w) or "(empty)" for w in diag["state_words"]]
         print("state words: " + " ".join(words), file=err)
     else:
         print(f"contexts kept: {diag['n_contexts']} ({diag['dropped']} dropped as mixtures)", file=err)

@@ -35,7 +35,8 @@ def _parse_prob(token: str) -> float:
 
 
 def parse_machine(text: str):
-    """Parse machine text.  Returns (machine, warnings).
+    """Parse machine text.  Returns (machine, warnings, start), where
+    ``start`` is the state index of a ``start`` line, or None without one.
 
     Explicit zero-probability edges are dropped with a warning rather than
     rejected.
@@ -105,9 +106,7 @@ def parse_machine(text: str):
     if matrices is None:
         matrices = np.zeros((len(alphabet), n_states, n_states))
     machine = LabeledMatrixMachine(n_states=n_states, alphabet=alphabet, matrices=matrices)
-    if start is not None:
-        return machine, warnings, start
-    return machine, warnings
+    return machine, warnings, start
 
 
 def serialize_machine(machine: LabeledMatrixMachine, start: int | None = None) -> str:
@@ -121,8 +120,7 @@ def serialize_machine(machine: LabeledMatrixMachine, start: int | None = None) -
 
 def load_machine(path: str) -> LabeledMatrixMachine:
     with open(path, "r", encoding="utf-8") as fh:
-        result = parse_machine(fh.read())
-    return result[0]
+        return parse_machine(fh.read())[0]
 
 
 def save_machine(path: str, machine: LabeledMatrixMachine, start: int | None = None) -> None:

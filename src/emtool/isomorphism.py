@@ -6,9 +6,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .axioms import is_irreducible, is_unifilar, next_symbol_probs, unifilar_transitions
-from .errors import NotIrreducibleError, NotUnifilarError
-from .machine import LabeledMatrixMachine
+from .axioms import is_irreducible, next_symbol_probs, unifilar_transitions
+from .errors import NotIrreducibleError
+from .machine import LabeledMatrixMachine, require_unifilar
 
 EPS_ISO = 1e-9
 
@@ -19,9 +19,7 @@ class Isomorphism:
 
 
 def _require_unifilar_irreducible(machine: LabeledMatrixMachine, label: str) -> None:
-    ok, pairs = is_unifilar(machine)
-    if not ok:
-        raise NotUnifilarError(f"machine {label} is not unifilar at {pairs}")
+    require_unifilar(machine)
     if not is_irreducible(machine)[0]:
         raise NotIrreducibleError(f"machine {label} is not strongly connected")
 

@@ -9,6 +9,7 @@ the per-symbol matrices is the row-stochastic state-to-state matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,11 @@ class LabeledMatrixMachine:
 
     ``matrices`` has shape (n_symbols, n_states, n_states) and is made
     read-only on construction; machines are immutable and safe to share.
+    Derived structure (strongly connected components, unifilarity, the
+    successor table, emission probabilities, the stationary distribution
+    and the sampler's edge tables) is computed on first use and cached on
+    the instance; since the matrices cannot change, the cache cannot go
+    stale.  The module-level functions are the interface to it.
     """
 
     n_states: int
@@ -103,6 +109,52 @@ class LabeledMatrixMachine:
         out.sort(key=lambda e: (e[0], e[1], e[3]))
         return out
 
+    @cached_property
+    def _sccs(self) -> list[list[int]]:
+        from .axioms import strongly_connected_components
+
+        pos = (self.matrices > 0.0).any(axis=0)
+        return strongly_connected_components([list(np.flatnonzero(row)) for row in pos])
+
+    @cached_property
+    def _nonunifilar_pairs(self) -> list[tuple[int, int]]:
+        counts = (self.matrices > 0.0).sum(axis=2)  # (symbol, state)
+        return sorted((int(i), int(x)) for x, i in zip(*np.nonzero(counts > 1)))
+
+    @cached_property
+    def _delta(self) -> np.ndarray:
+        """(state, symbol) successor table, -1 where the symbol has
+        probability zero; requires unifilarity."""
+        require_unifilar(self)
+        pos = self.matrices > 0.0
+        delta = np.where(pos.any(axis=2), pos.argmax(axis=2), -1).T
+        delta.setflags(write=False)
+        return delta
+
+    @cached_property
+    def _emission_probs(self) -> np.ndarray:
+        probs = self.matrices.sum(axis=2).T  # (state, symbol)
+        probs.setflags(write=False)
+        return probs
+
+    @cached_property
+    def _stationary(self) -> StationaryDistribution:
+        return _solve_stationary(self)
+
+    @cached_property
+    def _edge_tables(self):
+        """Per-state cumulative probabilities with matching (symbol, target)
+        arrays, in file order (symbol-major, then target)."""
+        cum, syms, tgts = [], [], []
+        for i in range(self.n_states):
+            xs, js = np.nonzero(self.matrices[:, i, :] > 0.0)
+            if xs.size == 0:
+                raise ValueError(f"state {i} has no outgoing edges")
+            cum.append(np.cumsum(self.matrices[xs, i, js]))
+            syms.append(xs.astype(np.int64))
+            tgts.append(js.astype(np.int64))
+        return cum, syms, tgts
+
 
 @dataclass
 class ValidationReport:
@@ -111,7 +163,7 @@ class ValidationReport:
     warnings: list[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StationaryDistribution:
     pi: np.ndarray
     residual: float
@@ -160,13 +212,26 @@ def is_strongly_connected(machine: LabeledMatrixMachine) -> bool:
     return is_irreducible(machine)[0]
 
 
+def require_unifilar(machine: LabeledMatrixMachine) -> None:
+    """Raise NotUnifilarError unless every (state, symbol) pair has at most
+    one positive edge."""
+    pairs = machine._nonunifilar_pairs
+    if pairs:
+        raise NotUnifilarError(f"machine is not unifilar at (state, symbol) pairs {pairs}")
+
+
 def stationary_distribution(machine: LabeledMatrixMachine) -> StationaryDistribution:
     """Unique left fixed vector of the overall matrix.
 
     Dense solve of (T' - I) pi = 0 with a normalization row for small
     machines, power iteration for large ones.  Requires irreducibility,
-    otherwise uniqueness is not guaranteed.
+    otherwise uniqueness is not guaranteed.  Solved once per machine; the
+    returned ``pi`` is read-only.
     """
+    return machine._stationary
+
+
+def _solve_stationary(machine: LabeledMatrixMachine) -> StationaryDistribution:
     if not is_strongly_connected(machine):
         raise NotIrreducibleError("stationary distribution requires a strongly connected machine")
     T = overall_matrix(machine)
@@ -189,6 +254,7 @@ def stationary_distribution(machine: LabeledMatrixMachine) -> StationaryDistribu
             pi = nxt
         pi /= pi.sum()
     residual = float(np.abs(pi @ T - pi).max())
+    pi.setflags(write=False)
     return StationaryDistribution(pi=pi, residual=residual)
 
 
@@ -228,38 +294,26 @@ def word_prob_from_distribution(machine: LabeledMatrixMachine, rho, word) -> flo
 def transition_function(machine: LabeledMatrixMachine, i: int, x: int):
     """Unique successor of state ``i`` on symbol ``x``, or None when the
     symbol has probability zero there.  Requires unifilarity."""
-    from .axioms import is_unifilar
-
-    ok, pairs = is_unifilar(machine)
-    if not ok:
-        raise NotUnifilarError(f"machine is not unifilar at (state, symbol) pairs {pairs}")
-    row = machine.matrices[x][i]
-    nz = np.flatnonzero(row > 0.0)
-    if nz.size == 0:
-        return None
-    return int(nz[0])
+    nxt = int(machine._delta[i, x])
+    return None if nxt < 0 else nxt
 
 
 def unifilar_word_prob(machine: LabeledMatrixMachine, i: int, word):
     """Word probability as a product of per-step symbol probabilities along
     the unique state path.  Returns (probability, path) where the path
     excludes the start state; (0.0, None) when some step is impossible."""
-    from .axioms import is_unifilar, unifilar_transitions
-
-    ok, pairs = is_unifilar(machine)
-    if not ok:
-        raise NotUnifilarError(f"machine is not unifilar at (state, symbol) pairs {pairs}")
+    delta = machine._delta
     if not 0 <= i < machine.n_states:
         raise IndexError(f"state index {i} out of range")
-    delta = unifilar_transitions(machine)
+    probs = machine._emission_probs
     prob = 1.0
     path = []
     state = i
     for x in word:
-        nxt = delta[state][x]
-        if nxt is None:
+        nxt = int(delta[state, x])
+        if nxt < 0:
             return 0.0, None
-        prob *= float(machine.matrices[x][state].sum())
+        prob *= float(probs[state, x])
         state = nxt
         path.append(state)
     return prob, path

@@ -11,12 +11,11 @@ from .axioms import (
     StatePartition,
     distinctness_partition,
     is_irreducible,
-    is_unifilar,
     next_symbol_probs,
     unifilar_transitions,
 )
-from .errors import InconsistentBlockError, NotIrreducibleError, NotUnifilarError
-from .machine import LabeledMatrixMachine
+from .errors import InconsistentBlockError, NotIrreducibleError
+from .machine import LabeledMatrixMachine, require_unifilar
 
 
 @dataclass
@@ -37,9 +36,7 @@ def minimize_unifilar(
     must agree within ``tolerance``).  The result of quotienting a valid
     irreducible unifilar machine is always a generator machine.
     """
-    ok, pairs = is_unifilar(machine)
-    if not ok:
-        raise NotUnifilarError(f"machine is not unifilar at (state, symbol) pairs {pairs}")
+    require_unifilar(machine)
     if not is_irreducible(machine)[0]:
         raise NotIrreducibleError("minimization requires a strongly connected machine")
 

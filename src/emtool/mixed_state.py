@@ -8,8 +8,6 @@ doubt decays along stationary runs.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,13 +101,11 @@ def estimate_decay(
     n_chains: int,
     seed: int,
     alpha: float = 0.5,
-    max_workers: int | None = None,
 ) -> DecayEstimate:
     """Monte Carlo doubt-decay profile over stationary runs.
 
-    Chains use independent RNG substreams and may run on several worker
-    threads (capped by EMTOOL_THREADS); the accumulated statistics do not
-    depend on the schedule.
+    Chain ``c`` draws from the RNG substream ``(seed, c)``, so the
+    statistics depend only on the arguments.
     """
     report = is_generator_em(machine)
     if not report.unifilar:
@@ -122,17 +118,9 @@ def estimate_decay(
             " minimize the machine first"
         )
     pi = stationary_distribution(machine).pi
-    if max_workers is None:
-        max_workers = max(1, int(os.environ.get("EMTOOL_THREADS", "1")))
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(
-                pool.map(lambda c: _chain_doubts(machine, pi, horizon, seed, c), range(n_chains))
-            )
-    else:
-        rows = [_chain_doubts(machine, pi, horizon, seed, c) for c in range(n_chains)]
-    doubts = np.vstack(rows)  # (chains, horizon)
+    doubts = np.vstack(
+        [_chain_doubts(machine, pi, horizon, seed, c) for c in range(n_chains)]
+    )  # (chains, horizon)
 
     ts = np.arange(1, horizon + 1)
     mean_doubt = doubts.mean(axis=0)

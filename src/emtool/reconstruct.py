@@ -5,10 +5,12 @@ Two routes:
 * ``reconstruct_analytic`` starts from a machine (not necessarily unifilar)
   and merges beliefs that predict identical future word distributions.  For
   unifilar inputs the long-run belief of almost every past is a vertex, so
-  the states are the merged vertex beliefs; the belief closure explored
-  forward from the stationary prior is kept as a diagnostic atlas.  For
-  nonunifilar inputs the vertex shortcut is unavailable and the recurrent
-  part of the prior-seeded belief closure is the state set itself.
+  the states are the classes of probabilistically equivalent vertices: the
+  quotient ``minimize_unifilar`` computes, which is the equivalence of
+  history and generator machines.  The belief closure explored forward from
+  the stationary prior is kept as a diagnostic atlas.  For nonunifilar
+  inputs the vertex shortcut is unavailable and the recurrent part of the
+  prior-seeded belief closure is the state set itself.
 * ``reconstruct_empirical`` starts from a sampled symbol sequence, estimates
   the conditional future distribution of every frequent past context, and
   recovers the state set as the extreme points of that family: any context
@@ -25,13 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .axioms import strongly_connected_components
+from .axioms import is_unifilar, terminal_components
 from .errors import (
     ClassExplosionError,
     InsufficientDataError,
     ReconstructionError,
 )
 from .machine import Alphabet, LabeledMatrixMachine, stationary_distribution
+from .minimize import minimize_unifilar
 from .mixed_state import belief_update
 
 # Symbol probabilities at or below this are treated as absent edges during
@@ -145,17 +148,9 @@ def _recurrent_classes(classes):
         sorted({succ for _, succ in c.successors.values()}) if c.expanded else []
         for c in classes
     ]
-    sccs = strongly_connected_components(adj)
-    comp_of = {}
-    for k, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = k
-    terminal = []
-    for k, comp in enumerate(sccs):
-        if not all(classes[v].expanded for v in comp):
-            continue
-        if all(comp_of[s] == k for v in comp for s in adj[v]):
-            terminal.append(comp)
+    terminal = [
+        comp for comp in terminal_components(adj) if all(classes[v].expanded for v in comp)
+    ]
     if len(terminal) != 1:
         raise ReconstructionError(
             f"expected one recurrent belief component, found {len(terminal)}"
@@ -180,10 +175,13 @@ def reconstruct_analytic(
 
     For unifilar inputs the belief conditioned on almost every long past
     converges to a vertex, so the positive-probability past classes are the
-    merged vertex beliefs; this holds even when no finite word pins the
-    state exactly.  The belief closure explored breadth-first from the
-    stationary prior is still computed and attached as a diagnostic atlas
-    (truncated silently at ``cap``).
+    classes of probabilistically equivalent vertices; this holds even when
+    no finite word pins the state exactly.  The machine is therefore the
+    quotient ``minimize_unifilar(machine, tol)`` and μ sums π over each
+    class.  The belief closure explored breadth-first from the stationary
+    prior is still computed and attached as a diagnostic atlas (truncated
+    silently at ``cap``); ``state_words`` holds, per state, the shortest
+    atlas word that synchronizes to it, or None when the atlas has none.
 
     For nonunifilar inputs the states are the recurrent classes of the
     prior-seeded closure itself; ``depth`` bounds the shortest-word length
@@ -196,44 +194,25 @@ def reconstruct_analytic(
     pi = stationary_distribution(machine).pi
     basis = future_feature_basis(machine, l_fut)
 
-    unifilar = all(
-        int((machine.matrices[x, i] > 0.0).sum()) <= 1
-        for x in range(machine.n_symbols)
-        for i in range(machine.n_states)
-    )
+    unifilar = is_unifilar(machine)[0]
     classes, truncated = _explore_beliefs(
         machine, pi, basis, depth, tol, cap, raise_on_cap=not unifilar
     )
     atlas = BeliefAtlas(classes=classes, basis=basis)
 
     if unifilar:
-        # Merge vertices with equal future distributions; the quotient of an
-        # irreducible machine is irreducible, so every class is recurrent.
+        # The quotient of an irreducible machine is irreducible, so every
+        # class is recurrent.
+        quotient = minimize_unifilar(machine, tol)
+        result = quotient.target
+        reps = [block[0] for block in quotient.partition.blocks]
         n = machine.n_states
-        class_of = np.full(n, -1, dtype=np.int64)
-        reps: list[int] = []
+        mu = np.zeros(len(reps))
         for i in range(n):
-            for c, r in enumerate(reps):
-                if np.abs(basis[i] - basis[r]).max() <= tol:
-                    class_of[i] = c
-                    break
-            else:
-                class_of[i] = len(reps)
-                reps.append(i)
-        m = len(reps)
-        matrices = np.zeros((machine.n_symbols, m, m))
-        for c, r in enumerate(reps):
-            for x in range(machine.n_symbols):
-                row = machine.matrices[x, r]
-                p = float(row.sum())
-                if p > P_FLOOR:
-                    matrices[x, c, class_of[int(np.argmax(row))]] = p
-        mu = np.zeros(m)
-        for i in range(n):
-            mu[class_of[i]] += pi[i]
+            mu[quotient.class_of[i]] += pi[i]
         # shortest word in the atlas that synchronizes to each class, if any
         state_words = []
-        for c, r in enumerate(reps):
+        for r in reps:
             vertex = np.zeros(n)
             vertex[r] = 1.0
             hits = [
@@ -253,10 +232,7 @@ def reconstruct_analytic(
                 matrices[x, index[v], index[succ]] = p
         state_words = [classes[v].word for v in recurrent]
         n_transient = len(classes) - m
-        mu = None
-
-    result = LabeledMatrixMachine(m, machine.alphabet, matrices)
-    if mu is None:
+        result = LabeledMatrixMachine(m, machine.alphabet, matrices)
         mu = stationary_distribution(result).pi
     return ReconstructedMachine(
         machine=result,
@@ -489,22 +465,13 @@ def reconstruct_empirical(
     matrices /= rows[None, :, None]
 
     adj = [list(np.flatnonzero(matrices.sum(axis=0)[i] > 0.0)) for i in range(n_states)]
-    sccs = strongly_connected_components(adj)
-    if len(sccs) > 1:
-        comp_of = {}
-        for ci, comp in enumerate(sccs):
-            for v in comp:
-                comp_of[v] = ci
-        terminal = [
-            comp
-            for ci, comp in enumerate(sccs)
-            if all(comp_of[s] == ci for v in comp for s in adj[v])
-        ]
-        if len(terminal) != 1:
-            raise ReconstructionError(
-                f"reconstructed transition graph has {len(terminal)} recurrent components"
-            )
-        keep_states = sorted(terminal[0])
+    terminal = terminal_components(adj)
+    if len(terminal) != 1:
+        raise ReconstructionError(
+            f"reconstructed transition graph has {len(terminal)} recurrent components"
+        )
+    if len(terminal[0]) < n_states:
+        keep_states = terminal[0]
         warnings.append(f"dropped {n_states - len(keep_states)} transient state(s)")
         sel = np.ix_(range(k_sym), keep_states, keep_states)
         matrices = matrices[sel]

@@ -59,26 +59,6 @@ def _resolve_start(machine: LabeledMatrixMachine, start) -> np.ndarray:
     return dist
 
 
-def _outgoing_edges(machine: LabeledMatrixMachine):
-    """Per-state cumulative probabilities with matching (symbol, target)
-    arrays, in file order (symbol-major, then target)."""
-    cum, syms, tgts = [], [], []
-    for i in range(machine.n_states):
-        p_list, x_list, j_list = [], [], []
-        for x in range(machine.n_symbols):
-            row = machine.matrices[x][i]
-            for j in np.flatnonzero(row > 0.0):
-                p_list.append(row[j])
-                x_list.append(x)
-                j_list.append(int(j))
-        if not p_list:
-            raise ValueError(f"state {i} has no outgoing edges")
-        cum.append(np.cumsum(p_list))
-        syms.append(np.array(x_list, dtype=np.int64))
-        tgts.append(np.array(j_list, dtype=np.int64))
-    return cum, syms, tgts
-
-
 def sample_path(
     machine: LabeledMatrixMachine,
     start,
@@ -94,7 +74,7 @@ def sample_path(
     """
     dist = _resolve_start(machine, start)
     rng = np.random.default_rng([int(seed), int(chain)])
-    cum, syms, tgts = _outgoing_edges(machine)
+    cum, syms, tgts = machine._edge_tables
     states = np.empty(length + 1, dtype=np.int64)
     symbols = np.empty(length, dtype=np.int64)
     states[0] = rng.choice(machine.n_states, p=dist)

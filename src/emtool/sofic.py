@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import strongly_connected_components
+from .axioms import refine_partition, strongly_connected_components, terminal_components
 from .errors import NotIrreducibleShiftError
 from .isomorphism import are_isomorphic
 from .machine import Alphabet, LabeledMatrixMachine
@@ -149,27 +149,13 @@ def _subset_dfa(graph: LabeledGraph):
 
 
 def _moore_minimize(delta: list[list[int]], start: int, k: int):
-    """Moore partition refinement on a partial DFA whose states all accept.
+    """Minimize a partial DFA whose states all accept.
 
-    The implicit sink is the only rejecting state, so the initial partition
-    is a single block and refinement keys on (block-of-successor | sink)
-    signatures.
+    The implicit sink is the only rejecting state, so refinement starts
+    from a single block and keys on (block-of-successor | sink) signatures.
     """
     n = len(delta)
-    block = [0] * n
-    while True:
-        sigs = {}
-        new_block = [0] * n
-        for s in range(n):
-            sig = (block[s],) + tuple(
-                block[delta[s][x]] if delta[s][x] >= 0 else -1 for x in range(k)
-            )
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block[s] = sigs[sig]
-        if len(sigs) == len(set(block)):
-            break
-        block = new_block
+    block = refine_partition(np.array(delta, dtype=np.int64), np.zeros(n)).tolist()
 
     # Renumber blocks breadth-first from the start for a canonical result.
     n_blocks = len(set(block))
@@ -220,17 +206,7 @@ def fischer_cover(dfa: Dfa) -> LabeledGraph:
     """The unique terminal strongly connected component of the DFA, with
     induced edges — the minimal right-resolving irreducible presentation."""
     graph = _dfa_graph(dfa)
-    adj = graph.adjacency()
-    sccs = strongly_connected_components(adj)
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = ci
-    terminal = [
-        comp
-        for ci, comp in enumerate(sccs)
-        if all(comp_of[w] == ci for v in comp for w in adj[v])
-    ]
+    terminal = terminal_components(graph.adjacency())
     if len(terminal) != 1:
         raise NotIrreducibleShiftError(
             f"presentation has {len(terminal)} recurrent components; the shift"

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import all_words
 from emtool import examples
-from emtool.axioms import is_generator_em, unifilar_transitions
+from emtool.axioms import is_generator_em, is_irreducible, unifilar_transitions
 from emtool.errors import ClassExplosionError
 from emtool.isomorphism import are_isomorphic
 from emtool.machine import (
@@ -24,6 +24,7 @@ from emtool.machine import (
 from emtool.minimize import minimize_unifilar
 from emtool.mixed_state import belief_update, estimate_decay
 from emtool.reconstruct import (
+    future_feature_basis,
     reconstruct_analytic,
     reconstruct_empirical,
     sns_belief_closed_form,
@@ -166,6 +167,70 @@ def test_criterion_3_round_trip_random_machines(random_generator_machines):
         result = reconstruct_analytic(machine)
         assert are_isomorphic(machine, result.machine, tolerance=1e-6) is not None
         _check_theorem_2(result, 1e-9)  # criterion 4, analytic side
+
+
+def _vertex_grouping(machine, tol):
+    """Reference partition: state i joins the first class whose lowest
+    member's future-feature-basis row agrees with its own within ``tol``,
+    i.e. the two vertex beliefs predict the same future."""
+    basis = future_feature_basis(machine, 2 * machine.n_states + 2)
+    class_of, reps = [], []
+    for i in range(machine.n_states):
+        for c, r in enumerate(reps):
+            if np.abs(basis[i] - basis[r]).max() <= tol:
+                class_of.append(c)
+                break
+        else:
+            class_of.append(len(reps))
+            reps.append(i)
+    return class_of, reps
+
+
+def _two_fold_lift(rng, machine):
+    """Random strongly connected 2-fold cover with shuffled states: each edge
+    i -> j either keeps or swaps the two copies.  The copies of a state are
+    equivalent, so the cover's quotient is the machine's."""
+    n = machine.n_states
+    while True:
+        flip = rng.integers(2, size=machine.matrices.shape)
+        perm = rng.permutation(2 * n)
+        matrices = np.zeros((machine.n_symbols, 2 * n, 2 * n))
+        for x, i, j in zip(*np.nonzero(machine.matrices)):
+            for b in (0, 1):
+                matrices[x, perm[i + n * b], perm[j + n * (b ^ flip[x, i, j])]] = (
+                    machine.matrices[x, i, j]
+                )
+        lifted = LabeledMatrixMachine(2 * n, machine.alphabet, matrices)
+        if is_irreducible(lifted)[0]:
+            return lifted
+
+
+def test_criterion_3_analytic_classes_are_vertex_classes(random_generator_machines):
+    # Theorem: the history machine of a unifilar generator is its quotient by
+    # future-equivalent states.  The reconstructed machine and class measure
+    # must be exactly those built from the reference vertex grouping.
+    rng = np.random.default_rng(20261018)
+    machines = list(random_generator_machines) + [examples.np2(p) for p in (0.3, 0.5, 0.7)]
+    machines += [_two_fold_lift(rng, m) for m in machines]
+    tol = 1e-9
+    for machine in machines:
+        class_of, reps = _vertex_grouping(machine, tol)
+        m = len(reps)
+        matrices = np.zeros((machine.n_symbols, m, m))
+        for c, r in enumerate(reps):
+            for x in range(machine.n_symbols):
+                row = machine.matrices[x, r]
+                if row.sum() > 0.0:
+                    matrices[x, c, class_of[int(np.argmax(row))]] = row.sum()
+        mu = np.zeros(m)
+        for i, c in enumerate(class_of):
+            mu[c] += stationary_distribution(machine).pi[i]
+        # the atlas does not enter the unifilar quotient; a small cap keeps
+        # the closure on the lifts cheap
+        result = reconstruct_analytic(machine, tol=tol, cap=64)
+        assert np.array_equal(result.machine.matrices, matrices)
+        assert np.array_equal(result.class_probability, mu)
+        assert minimize_unifilar(machine, tol).class_of == class_of
 
 
 # --------------------------------------- criterion 5: doubt decay

@@ -59,7 +59,7 @@ def test_minimize_np2(capsys, tmp_path):
     out_path = tmp_path / "min.m"
     code, _, _ = run(capsys, "minimize", str(src), str(out_path))
     assert code == 0
-    machine, _ = parse_machine(out_path.read_text())
+    machine, _, _ = parse_machine(out_path.read_text())
     assert machine.n_states == 2
     assert (tmp_path / "min.m.map").read_text().splitlines() == [
         "0 -> 0",
@@ -129,10 +129,20 @@ def test_sync_profile_csv(capsys, even_file):
 def test_reconstruct_analytic_cli(capsys, even_file):
     code, out, err = run(capsys, "reconstruct", "analytic", even_file)
     assert code == 0
-    machine, _ = parse_machine(out)
+    machine, _, _ = parse_machine(out)
     assert machine.n_states == 2
     assert "provenance: analytic" in err
     assert "belief classes: 4" in err
+
+
+def test_reconstruct_analytic_truncated_atlas_report(capsys, even_file):
+    # at cap 1 the atlas holds only the stationary prior, which synchronizes
+    # to no state; the report says so instead of failing
+    code, out, err = run(capsys, "reconstruct", "analytic", even_file, "--cap", "1")
+    assert code == 0
+    machine, _, _ = parse_machine(out)
+    assert machine.n_states == 2
+    assert "state words: (none) (none)" in err
 
 
 def test_reconstruct_sns_explosion_maps_to_data_error(capsys, tmp_path):
@@ -150,7 +160,7 @@ def test_reconstruct_empirical_cli(capsys, tmp_path, even_file):
                          "--lctx", "6", "--lfut", "3", "--min-count", "300",
                          "--pool-tol", "0.03")
     assert code == 0
-    machine, _ = parse_machine(out)
+    machine, _, _ = parse_machine(out)
     assert machine.n_states == 2
     assert "provenance: empirical" in err
 

@@ -16,8 +16,9 @@ edge 1 1 1 0
 
 
 def test_parse_basic():
-    machine, warnings = parse_machine(EVEN_TEXT)
+    machine, warnings, start = parse_machine(EVEN_TEXT)
     assert warnings == []
+    assert start is None
     assert machine.n_states == 2
     assert machine.alphabet.symbols == ("0", "1")
     assert np.array_equal(machine.matrices, examples.even(0.5).matrices)
@@ -26,7 +27,7 @@ def test_parse_basic():
 def test_round_trip_bitwise():
     for builder in (examples.even(0.3), examples.abc(0.4, 0.6), examples.np2(0.7)):
         text = serialize_machine(builder)
-        reparsed, _ = parse_machine(text)
+        reparsed, _, _ = parse_machine(text)
         assert np.array_equal(reparsed.matrices, builder.matrices)
         assert serialize_machine(reparsed) == text
 
@@ -35,20 +36,20 @@ def test_round_trip_awkward_probability():
     # 17 significant digits must reproduce an unrepresentable decimal exactly
     p = 1 / 3
     m = examples.even(p)
-    reparsed, _ = parse_machine(serialize_machine(m))
+    reparsed, _, _ = parse_machine(serialize_machine(m))
     assert np.array_equal(reparsed.matrices, m.matrices)
 
 
 def test_fraction_parsing_is_exact():
     text = "states 1\nalphabet a b\nedge 0 a 1/3 0\nedge 0 b 2/3 0\n"
-    machine, _ = parse_machine(text)
+    machine, _, _ = parse_machine(text)
     assert machine.matrices[0, 0, 0] == 1 / 3
     assert machine.matrices[1, 0, 0] == 2 / 3
 
 
 def test_zero_probability_edge_dropped_with_warning():
     text = EVEN_TEXT + "edge 1 0 0 0\n"
-    machine, warnings = parse_machine(text)
+    machine, warnings, _ = parse_machine(text)
     assert len(warnings) == 1
     assert "zero-probability" in warnings[0]
     assert machine.matrices[0, 1, 0] == 0.0

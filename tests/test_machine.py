@@ -160,6 +160,25 @@ def test_matrices_are_immutable(even):
         even.matrices[0, 0, 0] = 0.9
 
 
+def test_stationary_distribution_is_cached_and_read_only(monkeypatch):
+    from emtool import axioms
+
+    calls = []
+    tarjan = axioms.strongly_connected_components
+    monkeypatch.setattr(
+        axioms, "strongly_connected_components", lambda adj: calls.append(1) or tarjan(adj)
+    )
+    m = examples.abc(0.4, 0.6)
+    first = stationary_distribution(m)
+    assert len(calls) == 1
+    second = stationary_distribution(m)
+    assert len(calls) == 1  # no second Tarjan run, no second solve
+    assert second.pi is first.pi
+    assert not first.pi.flags.writeable
+    with pytest.raises(ValueError):
+        first.pi[0] = 0.5
+
+
 def test_example_parameter_domains():
     with pytest.raises(ValueError):
         examples.even(0.0)

@@ -69,7 +69,7 @@ def test_generated_machines_validate(m):
 @given(machines())
 @settings(max_examples=60, deadline=None)
 def test_serialize_parse_round_trip(m):
-    reparsed, warnings = parse_machine(serialize_machine(m))
+    reparsed, warnings, _ = parse_machine(serialize_machine(m))
     assert warnings == []
     assert np.array_equal(reparsed.matrices, m.matrices)
 
