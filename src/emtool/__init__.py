@@ -21,6 +21,7 @@ from .errors import (
     NotIrreducibleError,
     NotIrreducibleShiftError,
     NotUnifilarError,
+    NumericalError,
     ReconstructionError,
 )
 from .fileio import load_machine, parse_machine, save_machine, serialize_machine

@@ -252,18 +252,18 @@ def is_generator_em(machine: LabeledMatrixMachine, tolerance: float = EPS_DIST) 
 
 def find_sync_word(machine: LabeledMatrixMachine, max_len: int | None = None):
     """Shortest word that drives an observer's consistent-state set to a
-    single state, or None within ``max_len``.
+    single state, or None when there is none (no longer than ``max_len``,
+    if given).
 
     Breadth-first over the subset automaton, starting from the set of all
-    states; ties broken lexicographically by alphabet order.  Exploration is
-    capped at 2**N subsets.
+    states; ties broken lexicographically by alphabet order.  Each subset is
+    expanded once, so the search ends without a length cap; a slowly
+    synchronizing machine's shortest word can be as long as (N-1)**2.
     """
     from .machine import stationary_distribution, word_prob_from_distribution
 
     require_unifilar(machine)
     n = machine.n_states
-    if max_len is None:
-        max_len = 4 * n
     irreducible, _ = is_irreducible(machine)
     if irreducible:
         start_dist = stationary_distribution(machine).pi
@@ -277,7 +277,7 @@ def find_sync_word(machine: LabeledMatrixMachine, max_len: int | None = None):
     queue = deque([(start, ())])
     while queue:
         subset, word = queue.popleft()
-        if len(word) >= max_len:
+        if max_len is not None and len(word) >= max_len:
             continue
         for x in range(machine.n_symbols):
             nxt = frozenset(delta[s][x] for s in subset if delta[s][x] is not None)
@@ -288,7 +288,6 @@ def find_sync_word(machine: LabeledMatrixMachine, max_len: int | None = None):
                 if word_prob_from_distribution(machine, start_dist, w) > 0.0:
                     return w
                 continue
-            if len(seen) < 2**n:
-                seen.add(nxt)
-                queue.append((nxt, w))
+            seen.add(nxt)
+            queue.append((nxt, w))
     return None

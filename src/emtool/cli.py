@@ -135,8 +135,8 @@ def cmd_sample(args) -> int:
         except ValueError:
             start = [float(v) for v in start.split(",")]
     run = simulate.sample_path(machine, start, args.len, args.seed, chain=args.chain)
-    lines = "".join(machine.alphabet.symbols[x] + "\n" for x in run.symbols)
-    _write_text(args.out, lines)
+    names = [name + "\n" for name in machine.alphabet.symbols]
+    _write_text(args.out, "".join([names[x] for x in run.symbols.tolist()]))
     return EXIT_OK
 
 

@@ -47,3 +47,7 @@ class InsufficientDataError(EmtoolError):
 
 class NotIrreducibleShiftError(EmtoolError):
     """Raised when a sofic presentation has more than one recurrent component."""
+
+
+class NumericalError(EmtoolError):
+    """Raised when a numerical routine cannot meet its tolerance."""

@@ -13,14 +13,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyWordError, NotIrreducibleError, NotUnifilarError
+from .errors import EmptyWordError, NotIrreducibleError, NotUnifilarError, NumericalError
 
 # Row sums are accepted as stochastic within this tolerance.
 EPS_STOCH = 1e-9
 # Residual tolerance for the stationary distribution.
 EPS_SOLVE = 1e-12
-# Dense linear solve below this state count, power iteration above.
-DENSE_SOLVE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -142,18 +140,20 @@ class LabeledMatrixMachine:
         return _solve_stationary(self)
 
     @cached_property
-    def _edge_tables(self):
-        """Per-state cumulative probabilities with matching (symbol, target)
-        arrays, in file order (symbol-major, then target)."""
-        cum, syms, tgts = [], [], []
+    def _edge_tables(self) -> list[tuple]:
+        """Per state, ``(cum, total, last, symbols, targets)``: the cumulative
+        outgoing edge probabilities, their total ``cum[-1]``, the last edge
+        index, and the edges' symbols and targets, in file order
+        (symbol-major, then target).  Plain Python lists and floats, for
+        ``sample_path``'s scalar loop."""
+        rows = []
         for i in range(self.n_states):
             xs, js = np.nonzero(self.matrices[:, i, :] > 0.0)
             if xs.size == 0:
                 raise ValueError(f"state {i} has no outgoing edges")
-            cum.append(np.cumsum(self.matrices[xs, i, js]))
-            syms.append(xs.astype(np.int64))
-            tgts.append(js.astype(np.int64))
-        return cum, syms, tgts
+            cum = np.cumsum(self.matrices[xs, i, js]).tolist()
+            rows.append((cum, cum[-1], len(cum) - 1, xs.tolist(), js.tolist()))
+        return rows
 
 
 @dataclass
@@ -223,10 +223,11 @@ def require_unifilar(machine: LabeledMatrixMachine) -> None:
 def stationary_distribution(machine: LabeledMatrixMachine) -> StationaryDistribution:
     """Unique left fixed vector of the overall matrix.
 
-    Dense solve of (T' - I) pi = 0 with a normalization row for small
-    machines, power iteration for large ones.  Requires irreducibility,
-    otherwise uniqueness is not guaranteed.  Solved once per machine; the
-    returned ``pi`` is read-only.
+    Dense solve of (T' - I) pi = 0 with a normalization row, at every
+    state count; periodic chains included.  Requires irreducibility,
+    otherwise uniqueness is not guaranteed, and raises NumericalError when
+    the residual max |pi T - pi| exceeds ``EPS_SOLVE``.  Solved once per
+    machine; the returned ``pi`` is read-only.
     """
     return machine._stationary
 
@@ -236,24 +237,16 @@ def _solve_stationary(machine: LabeledMatrixMachine) -> StationaryDistribution:
         raise NotIrreducibleError("stationary distribution requires a strongly connected machine")
     T = overall_matrix(machine)
     n = machine.n_states
-    if n <= DENSE_SOLVE_LIMIT:
-        A = T.T - np.eye(n)
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-        pi = np.maximum(pi, 0.0)
-        pi /= pi.sum()
-    else:
-        pi = np.full(n, 1.0 / n)
-        for _ in range(10**6):
-            nxt = pi @ T
-            if np.abs(nxt - pi).max() <= EPS_SOLVE:
-                pi = nxt
-                break
-            pi = nxt
-        pi /= pi.sum()
+    A = T.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    pi = np.maximum(pi, 0.0)
+    pi /= pi.sum()
     residual = float(np.abs(pi @ T - pi).max())
+    if not residual <= EPS_SOLVE:
+        raise NumericalError(f"stationary solve residual {residual:.3g} exceeds {EPS_SOLVE:g}")
     pi.setflags(write=False)
     return StationaryDistribution(pi=pi, residual=residual)
 

@@ -25,7 +25,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .axioms import is_unifilar, terminal_components
 from .errors import (
@@ -105,7 +104,8 @@ def _explore_beliefs(machine, pi, basis, depth, tol, cap, raise_on_cap):
     reports truncation, depending on ``raise_on_cap``.
     """
     classes: list[BeliefClass] = [BeliefClass(rep=pi, key=pi @ basis, word=())]
-    keys = [classes[0].key]
+    keys = np.empty((16, basis.shape[1]))  # rows [0, len(classes)) hold the class keys
+    keys[0] = classes[0].key
     queue = deque([0])
     while queue:
         ci = queue.popleft()
@@ -121,7 +121,7 @@ def _explore_beliefs(machine, pi, basis, depth, tol, cap, raise_on_cap):
                 continue
             nxt = belief_update(machine, phi, x)
             key = nxt @ basis
-            dists = np.abs(np.asarray(keys) - key).max(axis=1)
+            dists = np.abs(keys[: len(classes)] - key).max(axis=1)
             hit = int(np.argmin(dists))
             if dists[hit] <= tol:
                 cls.successors[x] = (p, hit)
@@ -134,8 +134,10 @@ def _explore_beliefs(machine, pi, basis, depth, tol, cap, raise_on_cap):
                         n_classes=len(classes) + 1,
                     )
                 return classes, True
+            if len(classes) == len(keys):
+                keys = np.concatenate([keys, np.empty_like(keys)])
+            keys[len(classes)] = key
             classes.append(BeliefClass(rep=nxt, key=key, word=cls.word + (x,)))
-            keys.append(key)
             cls.successors[x] = (p, len(classes) - 1)
             queue.append(len(classes) - 1)
     return classes, False
@@ -206,21 +208,17 @@ def reconstruct_analytic(
         quotient = minimize_unifilar(machine, tol)
         result = quotient.target
         reps = [block[0] for block in quotient.partition.blocks]
-        n = machine.n_states
         mu = np.zeros(len(reps))
-        for i in range(n):
-            mu[quotient.class_of[i]] += pi[i]
-        # shortest word in the atlas that synchronizes to each class, if any
+        for i, c in enumerate(quotient.class_of):
+            mu[c] += pi[i]
+        # shortest word in the atlas that synchronizes to each class, if any:
+        # a class key is its rep's projection, and vertex r projects to basis[r]
+        keys = np.array([cls.key for cls in classes])
         state_words = []
         for r in reps:
-            vertex = np.zeros(n)
-            vertex[r] = 1.0
-            hits = [
-                cls.word
-                for cls in classes
-                if np.abs(cls.rep @ basis - vertex @ basis).max() <= tol
-            ]
-            state_words.append(min(hits, key=lambda w: (len(w), w)) if hits else None)
+            hits = np.flatnonzero(np.abs(keys - basis[r]).max(axis=1) <= tol)
+            words = [classes[h].word for h in hits]
+            state_words.append(min(words, key=lambda w: (len(w), w)) if words else None)
         n_transient = len(classes) - sum(w is not None for w in state_words)
     else:
         recurrent = _recurrent_classes(classes)
@@ -319,6 +317,8 @@ def build_context_model(symbols, l_ctx: int, l_fut: int, n_symbols: int) -> Cont
 def _convex_fit_residual(target: np.ndarray, others: np.ndarray, weight: float = 8.0):
     """Best L2 fit of ``target`` by a convex combination of ``others`` rows;
     returns the max-norm residual of the (renormalized) fit."""
+    from scipy.optimize import nnls  # lazy: it dominates the import time of emtool.cli
+
     A = np.vstack([others.T, weight * np.ones(others.shape[0])])
     b = np.concatenate([target, [weight]])
     coef, _ = nnls(A, b)

@@ -7,7 +7,8 @@ any (machine, start, length, seed) quadruple reproduces bit-identical runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,25 +69,26 @@ def sample_path(
 ) -> SampleRun:
     """Weighted random walk emitting ``length`` symbols.
 
-    ``start`` is a state index, a distribution, or "stationary".  Edges are
-    drawn by cumulative-probability inversion over the state's outgoing
-    edges in file order.
+    ``start`` is a state index, a distribution, or "stationary".  The start
+    state is ``rng.choice`` over it; then each step inverts one uniform draw
+    of ``rng.random(length)`` over the current state's cumulative outgoing
+    edge probabilities in file order: the first edge whose cumulative sum
+    exceeds the draw times the total, or the last edge.  The loop runs on
+    plain Python lists, since numpy scalars cost microseconds per step.
     """
     dist = _resolve_start(machine, start)
     rng = np.random.default_rng([int(seed), int(chain)])
-    cum, syms, tgts = machine._edge_tables
-    states = np.empty(length + 1, dtype=np.int64)
-    symbols = np.empty(length, dtype=np.int64)
-    states[0] = rng.choice(machine.n_states, p=dist)
-    draws = rng.random(length)
-    s = states[0]
-    for t in range(length):
-        c = cum[s]
-        k = int(np.searchsorted(c, draws[t] * c[-1], side="right"))
-        k = min(k, len(c) - 1)
-        symbols[t] = syms[s][k]
-        s = tgts[s][k]
-        states[t + 1] = s
+    rows = machine._edge_tables
+    s = int(rng.choice(machine.n_states, p=dist))
+    states = [s]
+    symbols = []
+    for u in rng.random(length).tolist():
+        cum, total, last, syms, tgts = rows[s]
+        k = bisect_right(cum, u * total, 0, last)  # clamped to the last edge
+        symbols.append(syms[k])
+        s = tgts[k]
+        states.append(s)
+    symbols, states = np.array(symbols, dtype=np.int64), np.array(states, dtype=np.int64)
     return SampleRun(symbols=symbols, states=states, seed=int(seed), start=dist)
 
 

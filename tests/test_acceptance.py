@@ -186,6 +186,26 @@ def _vertex_grouping(machine, tol):
     return class_of, reps
 
 
+def test_criterion_3_state_words_match_vertex_projection(random_generator_machines):
+    # state_words compares the stacked class keys with basis rows; the
+    # reference projects every class rep and vertex anew
+    tol = 1e-9
+    for machine in random_generator_machines:
+        result = reconstruct_analytic(machine, tol=tol)
+        atlas = result.diagnostics["atlas"]
+        expected = []
+        for block in minimize_unifilar(machine, tol).partition.blocks:
+            vertex = np.zeros(machine.n_states)
+            vertex[block[0]] = 1.0
+            hits = [
+                cls.word
+                for cls in atlas.classes
+                if np.abs(cls.rep @ atlas.basis - vertex @ atlas.basis).max() <= tol
+            ]
+            expected.append(min(hits, key=lambda w: (len(w), w)) if hits else None)
+        assert result.diagnostics["state_words"] == expected
+
+
 def _two_fold_lift(rng, machine):
     """Random strongly connected 2-fold cover with shuffled states: each edge
     i -> j either keeps or swaps the two copies.  The copies of a state are

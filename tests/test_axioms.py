@@ -120,6 +120,28 @@ def test_sync_word_requires_unifilarity(sns):
         find_sync_word(sns)
 
 
+def test_sync_word_cerny_length_25():
+    # Cerny automaton as a generator machine: 0 rotates the states, 1 moves
+    # state 0 to state 1; its shortest synchronizing word has length (n-1)**2
+    n = 6
+    probs = np.linspace(0.2, 0.8, n)
+    mats = np.zeros((2, n, n))
+    for i, p in enumerate(probs):
+        mats[0, i, (i + 1) % n] = p
+        mats[1, i, 1 if i == 0 else i] = 1.0 - p
+    m = LabeledMatrixMachine(n, Alphabet(("0", "1")), mats)
+    w = find_sync_word(m)
+    assert w is not None and len(w) == (n - 1) ** 2
+    delta = unifilar_transitions(m)
+    ends = set()
+    for s in range(n):
+        for x in w:
+            s = delta[s][x]
+        ends.add(s)
+    assert len(ends) == 1
+    assert find_sync_word(m, max_len=24) is None
+
+
 def test_sync_word_synchronizes_belief(even, np2_minimal):
     from emtool.mixed_state import belief_of_word
 

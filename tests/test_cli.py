@@ -1,11 +1,17 @@
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emtool
 from emtool import examples
 from emtool.cli import main
 from emtool.fileio import parse_machine, save_machine, serialize_machine
+from emtool.machine import Alphabet, LabeledMatrixMachine
+from emtool.simulate import sample_path
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -109,6 +115,31 @@ def test_sample_determinism(capsys, tmp_path, even_file):
     assert a.read_text() == b.read_text()
 
 
+def test_sample_writer_multichar_symbols(capsys, tmp_path):
+    matrices = np.zeros((3, 2, 2))
+    matrices[0, 0, 1] = 0.3
+    matrices[1, 0, 0] = 0.7
+    matrices[1, 1, 0] = 0.4
+    matrices[2, 1, 1] = 0.6
+    machine = LabeledMatrixMachine(2, Alphabet(("a", "bb", "ccc")), matrices)
+    path = tmp_path / "m.m"
+    save_machine(str(path), machine)
+    code, out, _ = run(capsys, "sample", str(path), "--len", "3000", "--seed", "5", "--chain", "2")
+    assert code == 0
+    # the writer this one replaced: one name lookup per numpy symbol
+    run_ = sample_path(machine, "stationary", 3000, 5, chain=2)
+    assert out == "".join(machine.alphabet.symbols[x] + "\n" for x in run_.symbols)
+
+
+def test_import_cli_does_not_load_scipy_optimize():
+    src = str(Path(emtool.__file__).resolve().parents[1])
+    code = "import sys, emtool.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
 def test_belief(capsys, even_file):
     code, out, _ = run(capsys, "belief", even_file, "0")
     assert code == 0
@@ -199,3 +230,11 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["sample", "x.m"])  # missing required --len/--seed
     assert excinfo.value.code == 2
+
+
+def test_failed_stationary_solve_exits_3(capsys, monkeypatch, even_file):
+    # a solve that returns a vertex instead of the fixed vector
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.eye(len(b))[0])
+    code, _, err = run(capsys, "belief", even_file, "")
+    assert code == 3
+    assert "stationary solve residual" in err

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import all_words, brute_stationary_word_prob
 from emtool import examples
-from emtool.errors import EmptyWordError, NotIrreducibleError, NotUnifilarError
+from emtool.errors import EmptyWordError, NotIrreducibleError, NotUnifilarError, NumericalError
 from emtool.machine import (
+    EPS_SOLVE,
     Alphabet,
     LabeledMatrixMachine,
     overall_matrix,
@@ -66,6 +67,28 @@ def test_abc_stationary(abc):
 
 def test_stationary_residual(machine):
     assert stationary_distribution(machine).residual <= 1e-12
+
+
+def test_stationary_periodic_star():
+    # period-2 star with 65 leaves: the centre holds exactly half the mass
+    rng = np.random.default_rng(8)
+    leaves = 65
+    mats = np.zeros((2, leaves + 1, leaves + 1))
+    weights = rng.dirichlet(np.ones(leaves))
+    for leaf in range(1, leaves + 1):
+        mats[leaf % 2, 0, leaf] = weights[leaf - 1]
+        mats[rng.integers(2), leaf, 0] = 1.0
+    m = LabeledMatrixMachine(leaves + 1, Alphabet(("0", "1")), mats)
+    sd = stationary_distribution(m)
+    assert sd.pi[0] == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(sd.pi[1:], weights / 2, atol=1e-12)
+    assert sd.residual <= EPS_SOLVE
+
+
+def test_stationary_failed_solve_raises(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.eye(len(b))[0])
+    with pytest.raises(NumericalError, match="residual"):
+        stationary_distribution(examples.even(0.5))
 
 
 def test_stationary_requires_irreducible():

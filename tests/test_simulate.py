@@ -5,6 +5,7 @@ from emtool import examples
 from emtool.errors import NotIrreducibleError
 from emtool.machine import Alphabet, LabeledMatrixMachine, word_prob_stationary
 from emtool.simulate import (
+    _resolve_start,
     check_edge_consistency,
     empirical_word_probs,
     sample_path,
@@ -86,3 +87,55 @@ def test_empirical_frequencies_converge(even):
     table = empirical_word_probs(run.symbols, max_len=3, n_symbols=2)
     assert table.freq((1, 1)) == pytest.approx(word_prob_stationary(even, (1, 1)), abs=0.01)
     assert table.count((0, 1, 0)) == 0  # forbidden word never sampled
+
+
+def _reference_sample_path(machine, start, length, seed, chain):
+    """The per-step numpy loop that sample_path replaced: inversion with
+    np.searchsorted over numpy cumulative-probability arrays."""
+    dist = _resolve_start(machine, start)
+    rng = np.random.default_rng([int(seed), int(chain)])
+    cum, syms, tgts = [], [], []
+    for i in range(machine.n_states):
+        xs, js = np.nonzero(machine.matrices[:, i, :] > 0.0)
+        cum.append(np.cumsum(machine.matrices[xs, i, js]))
+        syms.append(xs.astype(np.int64))
+        tgts.append(js.astype(np.int64))
+    states = np.empty(length + 1, dtype=np.int64)
+    symbols = np.empty(length, dtype=np.int64)
+    states[0] = rng.choice(machine.n_states, p=dist)
+    draws = rng.random(length)
+    s = states[0]
+    for t in range(length):
+        c = cum[s]
+        k = int(np.searchsorted(c, draws[t] * c[-1], side="right"))
+        k = min(k, len(c) - 1)
+        symbols[t] = syms[s][k]
+        s = tgts[s][k]
+        states[t + 1] = s
+    return symbols, states
+
+
+def _dense_random_machine(n=5, k=3, seed=4):
+    """Nonunifilar machine with up to n*k outgoing edges per state."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random((n, k * n)) * (rng.random((n, k * n)) < 0.6)
+    weights[:, 0] += 0.1  # every state reaches state 0, and state 0 all others
+    weights[0] += 0.05
+    weights /= weights.sum(axis=1, keepdims=True)
+    matrices = weights.reshape(n, k, n).transpose(1, 0, 2)
+    return LabeledMatrixMachine(n, Alphabet(tuple("abc"[:k])), matrices)
+
+
+@pytest.mark.parametrize("name", ["even", "abc", "np2", "np2_minimal", "sns", "dense"])
+def test_sample_path_matches_numpy_reference(request, name):
+    machine = _dense_random_machine() if name == "dense" else request.getfixturevalue(name)
+    n = machine.n_states
+    starts = ["stationary", n - 1, np.arange(1, n + 1) / (n * (n + 1) / 2)]
+    for start in starts:
+        for length in (0, 1, 5000):
+            for chain in range(4):
+                run = sample_path(machine, start, length, seed=17, chain=chain)
+                symbols, states = _reference_sample_path(machine, start, length, 17, chain)
+                assert run.symbols.dtype == run.states.dtype == np.int64
+                assert np.array_equal(run.symbols, symbols)
+                assert np.array_equal(run.states, states)
