@@ -255,24 +255,18 @@ def find_sync_word(machine: LabeledMatrixMachine, max_len: int | None = None):
     single state, or None when there is none (no longer than ``max_len``,
     if given).
 
-    Breadth-first over the subset automaton, starting from the set of all
-    states; ties broken lexicographically by alphabet order.  Each subset is
-    expanded once, so the search ends without a length cap; a slowly
-    synchronizing machine's shortest word can be as long as (N-1)**2.
+    Breadth-first over the subset automaton of the support graph alone, from
+    the set of all states, ties broken by alphabet order; probabilities play
+    no part.  Each subset is expanded once, so the search ends without a
+    length cap; a slowly synchronizing machine's shortest word can be as
+    long as (N-1)**2.
     """
-    from .machine import stationary_distribution, word_prob_from_distribution
-
     require_unifilar(machine)
     n = machine.n_states
-    irreducible, _ = is_irreducible(machine)
-    if irreducible:
-        start_dist = stationary_distribution(machine).pi
-    else:
-        start_dist = np.full(n, 1.0 / n)
+    if n == 1:
+        return ()
     delta = unifilar_transitions(machine)
     start = frozenset(range(n))
-    if len(start) == 1:
-        return ()
     seen = {start}
     queue = deque([(start, ())])
     while queue:
@@ -285,9 +279,7 @@ def find_sync_word(machine: LabeledMatrixMachine, max_len: int | None = None):
                 continue
             w = word + (x,)
             if len(nxt) == 1:
-                if word_prob_from_distribution(machine, start_dist, w) > 0.0:
-                    return w
-                continue
+                return w
             seen.add(nxt)
             queue.append((nxt, w))
     return None

@@ -206,12 +206,6 @@ def word_matrix(machine: LabeledMatrixMachine, word) -> np.ndarray:
     return out
 
 
-def is_strongly_connected(machine: LabeledMatrixMachine) -> bool:
-    from .axioms import is_irreducible
-
-    return is_irreducible(machine)[0]
-
-
 def require_unifilar(machine: LabeledMatrixMachine) -> None:
     """Raise NotUnifilarError unless every (state, symbol) pair has at most
     one positive edge."""
@@ -233,7 +227,7 @@ def stationary_distribution(machine: LabeledMatrixMachine) -> StationaryDistribu
 
 
 def _solve_stationary(machine: LabeledMatrixMachine) -> StationaryDistribution:
-    if not is_strongly_connected(machine):
+    if len(machine._sccs) != 1:
         raise NotIrreducibleError("stationary distribution requires a strongly connected machine")
     T = overall_matrix(machine)
     n = machine.n_states
@@ -282,13 +276,6 @@ def word_prob_from_distribution(machine: LabeledMatrixMachine, rho, word) -> flo
     for x in word:
         row = row @ machine.matrices[x]
     return float(row.sum())
-
-
-def transition_function(machine: LabeledMatrixMachine, i: int, x: int):
-    """Unique successor of state ``i`` on symbol ``x``, or None when the
-    symbol has probability zero there.  Requires unifilarity."""
-    nxt = int(machine._delta[i, x])
-    return None if nxt < 0 else nxt
 
 
 def unifilar_word_prob(machine: LabeledMatrixMachine, i: int, word):

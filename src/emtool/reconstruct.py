@@ -39,6 +39,8 @@ from .mixed_state import belief_update
 # Symbol probabilities at or below this are treated as absent edges during
 # belief exploration.
 P_FLOOR = 1e-12
+# Weight of the sum-to-one row appended to the convex-fit least squares.
+CONVEX_WEIGHT = 8.0
 
 
 @dataclass
@@ -314,13 +316,13 @@ def build_context_model(symbols, l_ctx: int, l_fut: int, n_symbols: int) -> Cont
     )
 
 
-def _convex_fit_residual(target: np.ndarray, others: np.ndarray, weight: float = 8.0):
+def _convex_fit_residual(target: np.ndarray, others: np.ndarray):
     """Best L2 fit of ``target`` by a convex combination of ``others`` rows;
     returns the max-norm residual of the (renormalized) fit."""
     from scipy.optimize import nnls  # lazy: it dominates the import time of emtool.cli
 
-    A = np.vstack([others.T, weight * np.ones(others.shape[0])])
-    b = np.concatenate([target, [weight]])
+    A = np.vstack([others.T, CONVEX_WEIGHT * np.ones(others.shape[0])])
+    b = np.concatenate([target, [CONVEX_WEIGHT]])
     coef, _ = nnls(A, b)
     total = coef.sum()
     if total <= 0.0:
@@ -415,18 +417,13 @@ def reconstruct_empirical(
             members[k].append(i)
 
     k_sym = model.n_symbols
-    fut_radix = k_sym ** (l_fut - 1)
     ctx_radix = k_sym ** (l_ctx - 1)
 
-    # Per-state next-symbol counts, marginalized over the stored futures.
-    emis = np.zeros((n_states, k_sym))
-    mass = np.zeros(n_states)
-    for k, mem in enumerate(members):
-        for i in mem:
-            fc = model.future_counts[np.flatnonzero(keep)[i]]
-            emis[k] += fc.reshape(k_sym, -1).sum(axis=1)
-            mass[k] += counts[i]
-    emis_probs = emis / emis.sum(axis=1, keepdims=True)
+    # Next-symbol counts per context and per state (integers: sums are exact).
+    next_counts = model.future_counts[keep].reshape(n_ctx, k_sym, -1).sum(axis=2)
+    emis = np.array([next_counts[mem].sum(axis=0) for mem in members], dtype=float)
+    mass = emis.sum(axis=1)
+    emis_probs = emis / mass[:, None]
 
     # Transitions by count-weighted majority over suffix extensions.
     witnesses: list[str] = []
@@ -440,9 +437,7 @@ def reconstruct_empirical(
             for i in mem:
                 ext = (int(codes[i]) % ctx_radix) * k_sym + x
                 if ext in owner:
-                    fc = model.future_counts[np.flatnonzero(keep)[i]]
-                    w = fc.reshape(k_sym, -1).sum(axis=1)[x]
-                    votes[owner[ext]] += w
+                    votes[owner[ext]] += next_counts[i, x]
             if votes.sum() <= 0.0:
                 warnings.append(
                     f"state {k}: no observed successor for symbol {x}; edge dropped"

@@ -1,8 +1,9 @@
 """Probability-free presentations of the support shift.
 
 A machine's positive-probability edges present a sofic shift.  This module
-trims that presentation to its essential part, builds the minimal DFA of
-the factor language via subset construction, and extracts the Fischer
+works on that support graph alone: it trims the presentation to its
+essential part, builds the minimal DFA of the factor language (subset
+construction, then one partition refinement), and extracts the Fischer
 cover (the unique recurrent component) and the Krieger states (the part of
 the DFA reachable by arbitrarily long words).
 """
@@ -26,9 +27,6 @@ class LabeledGraph:
     alphabet: Alphabet
     edges: tuple[tuple[int, int, int], ...]  # (from, symbol, to)
 
-    def successors(self, v: int, x: int) -> list[int]:
-        return [j for i, s, j in self.edges if i == v and s == x]
-
     def adjacency(self) -> list[list[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
         for i, _, j in self.edges:
@@ -45,9 +43,6 @@ class Dfa:
     alphabet: Alphabet
     delta: tuple[tuple[int, ...], ...]  # delta[state][symbol], -1 = undefined
     start: int
-
-    def step(self, state: int, x: int) -> int:
-        return self.delta[state][x]
 
     def accepts(self, word) -> bool:
         s = self.start
@@ -119,9 +114,10 @@ def trim_essential(graph: LabeledGraph) -> LabeledGraph:
     return _induce(graph, from_cycle & to_cycle)
 
 
-def _subset_dfa(graph: LabeledGraph):
-    """Subset construction from the all-vertices start set.  Every subset
-    state accepts; the empty subset is left implicit."""
+def _subset_dfa(graph: LabeledGraph) -> list[list[int]]:
+    """Subset construction from the all-vertices start set, numbering states
+    breadth-first in symbol order (the shortlex order of their least words).
+    Every subset state accepts; the empty subset is left implicit."""
     k = len(graph.alphabet.symbols)
     succ = [[set() for _ in range(k)] for _ in range(graph.n_vertices)]
     for i, x, j in graph.edges:
@@ -130,7 +126,6 @@ def _subset_dfa(graph: LabeledGraph):
     index = {start: 0}
     delta: list[list[int]] = []
     queue = deque([start])
-    order = [start]
     while queue:
         cur = queue.popleft()
         row = []
@@ -140,56 +135,25 @@ def _subset_dfa(graph: LabeledGraph):
                 row.append(-1)
                 continue
             if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
+                index[nxt] = len(index)
                 queue.append(nxt)
             row.append(index[nxt])
         delta.append(row)
-    return delta, order
-
-
-def _moore_minimize(delta: list[list[int]], start: int, k: int):
-    """Minimize a partial DFA whose states all accept.
-
-    The implicit sink is the only rejecting state, so refinement starts
-    from a single block and keys on (block-of-successor | sink) signatures.
-    """
-    n = len(delta)
-    block = refine_partition(np.array(delta, dtype=np.int64), np.zeros(n)).tolist()
-
-    # Renumber blocks breadth-first from the start for a canonical result.
-    n_blocks = len(set(block))
-    b_delta = [[-1] * k for _ in range(n_blocks)]
-    for s in range(n):
-        for x in range(k):
-            if delta[s][x] >= 0:
-                b_delta[block[s]][x] = block[delta[s][x]]
-    order = []
-    seen = set()
-    queue = deque([block[start]])
-    seen.add(block[start])
-    while queue:
-        b = queue.popleft()
-        order.append(b)
-        for x in range(k):
-            t = b_delta[b][x]
-            if t >= 0 and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    rank = {b: i for i, b in enumerate(order)}
-    final = tuple(
-        tuple(rank[b_delta[b][x]] if b_delta[b][x] >= 0 else -1 for x in range(k))
-        for b in order
-    )
-    return final, rank[block[start]]
+    return delta
 
 
 def minimal_dfa(graph: LabeledGraph) -> Dfa:
-    """Minimal partial DFA of the presented shift's factor language."""
-    delta, _ = _subset_dfa(graph)
-    k = len(graph.alphabet.symbols)
-    final, start = _moore_minimize(delta, 0, k)
-    return Dfa(len(final), graph.alphabet, final, start)
+    """Minimal partial DFA of the presented shift's factor language: the
+    subset DFA refined from one block (only the implicit sink rejects), its
+    blocks numbered by first appearance in the shortlex state order, which
+    is the quotient's own breadth-first numbering from the start."""
+    delta = np.array(_subset_dfa(graph), dtype=np.int64)
+    block = refine_partition(delta, np.zeros(len(delta)))
+    first = np.sort(np.unique(block, return_index=True)[1])
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[block[first]] = np.arange(len(first))
+    final = np.where(delta[first] >= 0, rank[block[delta[first]]], -1)
+    return Dfa(len(first), graph.alphabet, tuple(map(tuple, final.tolist())), 0)
 
 
 def _dfa_graph(dfa: Dfa) -> LabeledGraph:

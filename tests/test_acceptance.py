@@ -10,7 +10,12 @@ import pytest
 
 from conftest import all_words
 from emtool import examples
-from emtool.axioms import is_generator_em, is_irreducible, unifilar_transitions
+from emtool.axioms import (
+    is_generator_em,
+    is_irreducible,
+    refine_partition,
+    unifilar_transitions,
+)
 from emtool.errors import ClassExplosionError
 from emtool.isomorphism import are_isomorphic
 from emtool.machine import (
@@ -31,6 +36,7 @@ from emtool.reconstruct import (
 )
 from emtool.simulate import empirical_word_probs, sample_path
 from emtool.sofic import (
+    LabeledGraph,
     fischer_cover,
     label_isomorphic,
     minimal_dfa,
@@ -365,6 +371,27 @@ def test_criterion_8_language_equality(builder):
     for length in range(1, 9):
         for w in itertools.product(range(2), repeat=length):
             assert dfa.accepts(w) == (word_prob_stationary(machine, w) > 0.0)
+
+
+def _follower_quotient(machine):
+    """The support graph with vertices of equal follower sets merged: the
+    coarsest congruence of the successor table from a single block."""
+    block = refine_partition(machine._delta, np.zeros(machine.n_states)).tolist()
+    edges = {(block[i], x, block[j]) for i, x, _, j in machine.edges()}
+    return LabeledGraph(max(block) + 1, machine.alphabet, tuple(sorted(edges)))
+
+
+def test_criterion_8_fischer_cover_is_topological_quotient(random_generator_machines):
+    # Lind & Marcus, Thm 3.3.18: an irreducible right-resolving follower-
+    # separated presentation is the Fischer cover
+    named = [examples.even(0.5), examples.abc(0.4, 0.6), examples.np2(0.5)]
+    merged = 0
+    for machine in random_generator_machines + named:
+        quotient = _follower_quotient(machine)
+        merged += quotient.n_vertices < machine.n_states
+        cover = fischer_cover(minimal_dfa(trim_essential(strip_probabilities(machine))))
+        assert label_isomorphic(cover, quotient)
+    assert merged > 0
 
 
 # ------------------------------- criterion 9: word-probability suite

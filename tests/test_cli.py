@@ -238,3 +238,11 @@ def test_failed_stationary_solve_exits_3(capsys, monkeypatch, even_file):
     code, _, err = run(capsys, "belief", even_file, "")
     assert code == 3
     assert "stationary solve residual" in err
+
+
+def test_axioms_needs_no_stationary_solve(capsys, monkeypatch, even_file):
+    # the axioms and the synchronizing-word search use the support only
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.eye(len(b))[0])
+    code, out, _ = run(capsys, "axioms", even_file)
+    assert code == 0
+    assert "synchronizing word: 0" in out.splitlines()

@@ -1,13 +1,17 @@
 import itertools
+from collections import deque
 
+import numpy as np
 import pytest
 
 from emtool import examples
+from emtool.axioms import refine_partition
 from emtool.errors import NotIrreducibleShiftError
 from emtool.machine import Alphabet, word_prob_stationary
 from emtool.sofic import (
     Dfa,
     LabeledGraph,
+    _subset_dfa,
     fischer_cover,
     krieger_states,
     label_isomorphic,
@@ -159,3 +163,52 @@ def test_krieger_drops_finite_time_transient_start():
     dfa = Dfa(2, BINARY, ((1, -1), (1, 1)), start=0)
     cover = krieger_states(dfa)
     assert cover.states == (1,)
+
+
+def _reference_minimal_dfa(graph):
+    """Refinement of the subset DFA, then an explicit breadth-first
+    renumbering of the quotient from the start block (the former
+    implementation, kept as the reference for ``minimal_dfa``)."""
+    delta = _subset_dfa(graph)
+    k = len(graph.alphabet.symbols)
+    block = refine_partition(np.array(delta, dtype=np.int64), np.zeros(len(delta))).tolist()
+    b_delta = [[-1] * k for _ in range(len(set(block)))]
+    for s, row in enumerate(delta):
+        for x, t in enumerate(row):
+            if t >= 0:
+                b_delta[block[s]][x] = block[t]
+    order = [block[0]]
+    queue = deque(order)
+    while queue:
+        b = queue.popleft()
+        for t in b_delta[b]:
+            if t >= 0 and t not in order:
+                order.append(t)
+                queue.append(t)
+    rank = {b: i for i, b in enumerate(order)}
+    final = tuple(tuple(rank[t] if t >= 0 else -1 for t in b_delta[b]) for b in order)
+    return len(final), final, rank[block[0]]
+
+
+def _random_graph(rng):
+    n = int(rng.integers(1, 14))
+    k = int(rng.integers(1, 4))
+    alphabet = Alphabet(tuple(str(x) for x in range(k)))
+    # zero to two targets per (vertex, symbol): partial and nondeterministic
+    edges = tuple(
+        (i, x, int(j))
+        for i in range(n)
+        for x in range(k)
+        for j in np.unique(rng.integers(n, size=rng.choice([0, 1, 1, 2])))
+    )
+    return LabeledGraph(n, alphabet, edges)
+
+
+def test_minimal_dfa_matches_reference_renumbering(even, abc, np2, sns):
+    rng = np.random.default_rng(20261018)
+    graphs = [strip_probabilities(m) for m in (even, abc, np2, sns)]
+    graphs += [_random_graph(rng) for _ in range(300)]
+    for g in graphs:
+        for h in (g, trim_essential(g)):
+            dfa = minimal_dfa(h)
+            assert (dfa.n_states, dfa.delta, dfa.start) == _reference_minimal_dfa(h)
