@@ -155,6 +155,11 @@ class LabeledMatrixMachine:
             rows.append((cum, cum[-1], len(cum) - 1, xs.tolist(), js.tolist()))
         return rows
 
+    @cached_property
+    def _stationary_cdf(self) -> list[float]:
+        """``choice_cdf`` of pi, for ``sample_path``'s stationary start."""
+        return choice_cdf(self._stationary.pi)
+
 
 @dataclass
 class ValidationReport:
@@ -167,6 +172,14 @@ class ValidationReport:
 class StationaryDistribution:
     pi: np.ndarray
     residual: float
+
+
+def choice_cdf(dist: np.ndarray) -> list[float]:
+    """The table ``Generator.choice(n, p=dist)`` inverts one ``random()``
+    draw over, right side: the cumulative sum divided by its last entry."""
+    cdf = dist.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def validate(machine: LabeledMatrixMachine, tolerance: float = EPS_STOCH) -> ValidationReport:

@@ -85,14 +85,47 @@ def sync_quantities(phi) -> SyncQuantities:
     return SyncQuantities(best_state=best, p_best=p, doubt=1.0 - p)
 
 
-def _chain_doubts(machine, pi, horizon, seed, chain) -> np.ndarray:
-    run = sample_path(machine, "stationary", horizon, seed, chain=chain)
-    doubts = np.empty(horizon)
-    phi = pi
-    for t, x in enumerate(run.symbols):
-        phi = belief_update(machine, phi, int(x))
-        doubts[t] = 1.0 - phi.max()
-    return doubts
+class _BeliefAutomaton:
+    """The beliefs reached from ``pi``, numbered in order of discovery (``pi``
+    is 0), with their doubts and a successor table filled on demand.
+
+    A belief is keyed by its bytes, so ``belief_update`` runs once per
+    distinct (belief, symbol) step and every stored doubt is bitwise the one
+    a per-step update would give."""
+
+    def __init__(self, machine: LabeledMatrixMachine, pi: np.ndarray):
+        self.machine = machine
+        self.ids: dict[bytes, int] = {}
+        self.beliefs: list[np.ndarray] = []
+        self.doubts: list[float] = []
+        self.succ: list[list[int | None]] = []
+        self._add(pi)
+
+    def _add(self, phi: np.ndarray) -> int:
+        key = phi.tobytes()
+        b = self.ids.get(key)
+        if b is None:
+            b = self.ids[key] = len(self.beliefs)
+            self.beliefs.append(np.frombuffer(key))
+            self.doubts.append(float(1.0 - phi.max()))
+            self.succ.append([None] * self.machine.n_symbols)
+        return b
+
+    def step(self, b: int, x: int) -> int:
+        nxt = self.succ[b][x]
+        if nxt is None:
+            nxt = self.succ[b][x] = self._add(belief_update(self.machine, self.beliefs[b], x))
+        return nxt
+
+
+def _chain_doubts(automaton: _BeliefAutomaton, symbols: list[int]) -> list[float]:
+    step, doubts = automaton.step, automaton.doubts
+    out = []
+    b = 0
+    for x in symbols:
+        b = step(b, x)
+        out.append(doubts[b])
+    return out
 
 
 def estimate_decay(
@@ -105,8 +138,15 @@ def estimate_decay(
     """Monte Carlo doubt-decay profile over stationary runs.
 
     Chain ``c`` draws from the RNG substream ``(seed, c)``, so the
-    statistics depend only on the arguments.
+    statistics depend only on the arguments.  The chains walk one belief
+    automaton built during the call: each distinct belief step is computed
+    once, and every doubt equals, bitwise, that of updating the belief
+    symbol by symbol.
     """
+    if n_chains < 1:
+        raise ValueError(f"n_chains must be at least 1, got {n_chains}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     report = is_generator_em(machine)
     if not report.unifilar:
         raise NotUnifilarError("doubt decay estimation requires a generator machine")
@@ -117,10 +157,11 @@ def estimate_decay(
             "doubt decay estimation requires probabilistically distinct states;"
             " minimize the machine first"
         )
-    pi = stationary_distribution(machine).pi
-    doubts = np.vstack(
-        [_chain_doubts(machine, pi, horizon, seed, c) for c in range(n_chains)]
-    )  # (chains, horizon)
+    automaton = _BeliefAutomaton(machine, stationary_distribution(machine).pi)
+    doubts = np.empty((n_chains, horizon))
+    for c in range(n_chains):
+        run = sample_path(machine, "stationary", horizon, seed, chain=c)
+        doubts[c] = _chain_doubts(automaton, run.symbols.tolist())
 
     ts = np.arange(1, horizon + 1)
     mean_doubt = doubts.mean(axis=0)

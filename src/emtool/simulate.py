@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotIrreducibleError
-from .machine import LabeledMatrixMachine, stationary_distribution
+from .machine import LabeledMatrixMachine, choice_cdf, stationary_distribution
 
 
 @dataclass
@@ -55,7 +55,12 @@ def _resolve_start(machine: LabeledMatrixMachine, start) -> np.ndarray:
         dist[int(start)] = 1.0
         return dist
     dist = np.asarray(start, dtype=float)
-    if dist.shape != (n,) or np.any(dist < 0) or abs(dist.sum() - 1.0) > 1e-9:
+    if (
+        dist.shape != (n,)
+        or not np.all(np.isfinite(dist))
+        or np.any(dist < 0)
+        or abs(dist.sum() - 1.0) > 1e-9
+    ):
         raise ValueError("start distribution must be a probability vector over states")
     return dist
 
@@ -70,16 +75,22 @@ def sample_path(
     """Weighted random walk emitting ``length`` symbols.
 
     ``start`` is a state index, a distribution, or "stationary".  The start
-    state is ``rng.choice`` over it; then each step inverts one uniform draw
-    of ``rng.random(length)`` over the current state's cumulative outgoing
-    edge probabilities in file order: the first edge whose cumulative sum
-    exceeds the draw times the total, or the last edge.  The loop runs on
-    plain Python lists, since numpy scalars cost microseconds per step.
+    state is the draw ``rng.choice(n_states, p=dist)`` would make: one
+    ``rng.random()`` inverted over ``dist``'s cumulative sum divided by its
+    last entry (cached per machine for the stationary start).  Then each
+    step inverts one uniform draw of ``rng.random(length)`` over the current
+    state's cumulative outgoing edge probabilities in file order: the first
+    edge whose cumulative sum exceeds the draw times the total, or the last
+    edge.  The loop runs on plain Python lists, since numpy scalars cost
+    microseconds per step.
     """
+    if length < 0:
+        raise ValueError(f"length must be nonnegative, got {length}")
     dist = _resolve_start(machine, start)
+    cdf = machine._stationary_cdf if isinstance(start, str) else choice_cdf(dist)
     rng = np.random.default_rng([int(seed), int(chain)])
     rows = machine._edge_tables
-    s = int(rng.choice(machine.n_states, p=dist))
+    s = bisect_right(cdf, rng.random())
     states = [s]
     symbols = []
     for u in rng.random(length).tolist():

@@ -6,12 +6,14 @@ agreement with the library is a genuine cross-check.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 
 from emtool import examples
-from emtool.machine import stationary_distribution
+from emtool.axioms import is_generator_em, unifilar_transitions
+from emtool.machine import Alphabet, LabeledMatrixMachine, stationary_distribution, validate
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +39,61 @@ def np2_minimal():
 @pytest.fixture(scope="session")
 def sns():
     return examples.sns(0.5, 0.5)
+
+
+def _uniformly_synchronizing(machine, max_depth=10):
+    """Every surviving word of bounded length drives the observer subset
+    automaton to a singleton: no cycle through a non-singleton subset."""
+    delta = unifilar_transitions(machine)
+    start = frozenset(range(machine.n_states))
+    depth = {start: 0}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        if depth[s] >= max_depth:
+            return False
+        for x in range(machine.n_symbols):
+            t = frozenset(delta[v][x] for v in s if delta[v][x] is not None)
+            if len(t) <= 1:
+                continue
+            if t in depth:
+                if depth[t] <= depth[s]:
+                    return False
+                continue
+            depth[t] = depth[s] + 1
+            queue.append(t)
+    return True
+
+
+def random_generator_machine(rng, n, k):
+    """Random irreducible generator machine with continuous edge
+    probabilities.  Each symbol's transition targets come from a two-state
+    pool covering all states, and candidates are rejected until uniformly
+    synchronizing, which keeps the belief-class closure finite."""
+    alphabet = Alphabet(tuple(str(i) for i in range(k)))
+    while True:
+        pools = rng.integers(0, n, size=(k, 2))
+        if len(set(pools.ravel().tolist())) < n:
+            continue
+        matrices = np.zeros((k, n, n))
+        for i in range(n):
+            present = rng.random(k) < 0.8
+            if not present.any():
+                present[rng.integers(k)] = True
+            probs = rng.dirichlet(np.ones(int(present.sum())))
+            for p, x in zip(probs, np.flatnonzero(present)):
+                matrices[x, i, int(pools[x][rng.integers(2)])] = p
+        m = LabeledMatrixMachine(n, alphabet, matrices)
+        if validate(m).ok and is_generator_em(m).is_generator_em and _uniformly_synchronizing(m):
+            return m
+
+
+@pytest.fixture(scope="session")
+def random_generator_machines():
+    """200 random generator machines with 2-6 states and 2-3 symbols."""
+    rng = np.random.default_rng(20260823)
+    sizes = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (6, 3)]
+    return [random_generator_machine(rng, *sizes[t % len(sizes)]) for t in range(200)]
 
 
 def all_words(n_symbols, length):
@@ -80,3 +137,24 @@ def brute_belief(machine, word):
     if mass.sum() <= 0.0:
         return pi
     return mass / mass.sum()
+
+
+def unsynced_fraction(machine, horizon):
+    """Exact probability that the belief started at pi still has more than
+    one state in its support after t = 1..horizon symbols.  The row vectors
+    of all words reaching one support are summed, which is exact because the
+    next support depends on the current support alone."""
+    frontier = {frozenset(range(machine.n_states)): stationary_distribution(machine).pi}
+    out = np.empty(horizon)
+    for t in range(horizon):
+        nxt = {}
+        for row in frontier.values():
+            for x in range(machine.n_symbols):
+                r = row @ machine.matrices[x]
+                if r.sum() <= 0.0:
+                    continue
+                key = frozenset(np.flatnonzero(r > 0.0).tolist())
+                nxt[key] = nxt[key] + r if key in nxt else r
+        frontier = nxt
+        out[t] = sum(float(r.sum()) for s, r in frontier.items() if len(s) > 1)
+    return out

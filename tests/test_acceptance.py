@@ -3,7 +3,6 @@ criterion.  Expensive artifacts (million-symbol samples, the random machine
 batch) are session-scoped fixtures."""
 
 import itertools
-from collections import deque
 
 import numpy as np
 import pytest
@@ -14,15 +13,12 @@ from emtool.axioms import (
     is_generator_em,
     is_irreducible,
     refine_partition,
-    unifilar_transitions,
 )
 from emtool.errors import ClassExplosionError
 from emtool.isomorphism import are_isomorphic
 from emtool.machine import (
-    Alphabet,
     LabeledMatrixMachine,
     stationary_distribution,
-    validate,
     word_prob_from_state,
     word_prob_stationary,
 )
@@ -55,60 +51,6 @@ def even_sample():
 @pytest.fixture(scope="module")
 def abc_sample():
     return sample_path(examples.abc(0.4, 0.6), "stationary", 10**6, seed=2027)
-
-
-def _uniformly_synchronizing(machine, max_depth=10):
-    """Every surviving word of bounded length drives the observer subset
-    automaton to a singleton: no cycle through a non-singleton subset."""
-    delta = unifilar_transitions(machine)
-    start = frozenset(range(machine.n_states))
-    depth = {start: 0}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        if depth[s] >= max_depth:
-            return False
-        for x in range(machine.n_symbols):
-            t = frozenset(delta[v][x] for v in s if delta[v][x] is not None)
-            if len(t) <= 1:
-                continue
-            if t in depth:
-                if depth[t] <= depth[s]:
-                    return False
-                continue
-            depth[t] = depth[s] + 1
-            queue.append(t)
-    return True
-
-
-def _random_generator_machine(rng, n, k):
-    """Random irreducible generator machine with continuous edge
-    probabilities.  Each symbol's transition targets come from a two-state
-    pool covering all states, and candidates are rejected until uniformly
-    synchronizing, which keeps the belief-class closure finite."""
-    alphabet = Alphabet(tuple(str(i) for i in range(k)))
-    while True:
-        pools = [rng.choice(n, size=2, replace=True) for _ in range(k)]
-        if len({int(s) for pool in pools for s in pool}) < n:
-            continue
-        matrices = np.zeros((k, n, n))
-        for i in range(n):
-            present = rng.random(k) < 0.8
-            if not present.any():
-                present[rng.integers(k)] = True
-            probs = rng.dirichlet(np.ones(int(present.sum())))
-            for p, x in zip(probs, np.flatnonzero(present)):
-                matrices[x, i, int(pools[x][rng.integers(2)])] = p
-        m = LabeledMatrixMachine(n, alphabet, matrices)
-        if validate(m).ok and is_generator_em(m).is_generator_em and _uniformly_synchronizing(m):
-            return m
-
-
-@pytest.fixture(scope="module")
-def random_generator_machines():
-    rng = np.random.default_rng(20260823)
-    sizes = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (6, 3)]
-    return [_random_generator_machine(rng, *sizes[t % len(sizes)]) for t in range(200)]
 
 
 # ------------------------------------------------- criterion 1: axioms

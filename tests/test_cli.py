@@ -246,3 +246,28 @@ def test_axioms_needs_no_stationary_solve(capsys, monkeypatch, even_file):
     code, out, _ = run(capsys, "axioms", even_file)
     assert code == 0
     assert "synchronizing word: 0" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sync-profile", "{m}", "--horizon", "5", "--chains", "0", "--seed", "1"],
+         "error: n_chains must be at least 1, got 0"),
+        (["sync-profile", "{m}", "--horizon", "-1", "--chains", "10", "--seed", "1"],
+         "error: horizon must be nonnegative, got -1"),
+        (["sample", "{m}", "--len", "-5", "--seed", "1"],
+         "error: length must be nonnegative, got -5"),
+    ],
+)
+def test_bad_sizes_exit_3_with_plain_message(capsys, even_file, argv, message):
+    code, _, err = run(capsys, *[a.format(m=even_file) for a in argv])
+    assert code == 3
+    assert err.strip() == message
+
+
+def test_sync_profile_horizon_zero(capsys, even_file):
+    code, out, _ = run(capsys, "sync-profile", even_file, "--horizon", "0", "--chains", "10",
+                       "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "t,mean_Q,frac_exceed,frac_unsynced"
+    assert out.splitlines()[1].startswith("# decay_rate")

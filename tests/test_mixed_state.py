@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import all_words, brute_belief
-from emtool import examples
+from conftest import all_words, brute_belief, unsynced_fraction
+from emtool import examples, mixed_state
 from emtool.errors import ImpossibleSymbolError, NotUnifilarError
 from emtool.fileio import parse_machine, serialize_machine
 from emtool.machine import stationary_distribution
 from emtool.mixed_state import (
+    DecayEstimate,
     belief_of_word,
     belief_update,
     estimate_decay,
     sync_quantities,
 )
+from emtool.simulate import sample_path
 
 ALL_EXAMPLES = ["even", "abc", "np2", "np2_minimal", "sns"]
 
@@ -102,3 +104,80 @@ def test_estimate_decay_requires_generator(sns, np2):
         estimate_decay(sns, horizon=5, n_chains=10, seed=1)
     with pytest.raises(ValueError):
         estimate_decay(np2, horizon=5, n_chains=10, seed=1)
+
+
+def _reference_estimate_decay(machine, horizon, n_chains, seed, alpha=0.5):
+    """The per-step loop the belief automaton replaced: one belief_update
+    per sampled symbol, from pi, for every chain."""
+    pi = stationary_distribution(machine).pi
+
+    def chain_doubts(chain):
+        run = sample_path(machine, "stationary", horizon, seed, chain=chain)
+        doubts = np.empty(horizon)
+        phi = pi
+        for t, x in enumerate(run.symbols):
+            phi = belief_update(machine, phi, int(x))
+            doubts[t] = 1.0 - phi.max()
+        return doubts
+
+    doubts = np.vstack([chain_doubts(c) for c in range(n_chains)])
+    ts = np.arange(1, horizon + 1)
+    mean_doubt = doubts.mean(axis=0)
+    positive = mean_doubt > 0.0
+    if positive.sum() >= 2:
+        slope = float(np.polyfit(ts[positive], np.log(mean_doubt[positive]), 1)[0])
+    else:
+        slope = -np.inf
+    return DecayEstimate(
+        horizon=horizon,
+        n_chains=n_chains,
+        alpha=alpha,
+        mean_doubt=mean_doubt,
+        frac_exceed=(doubts > alpha**ts).mean(axis=0),
+        frac_unsynced=(doubts > 0.0).mean(axis=0),
+        decay_rate=slope,
+        alpha_hat=float(np.exp(slope)),
+    )
+
+
+def test_estimate_decay_matches_per_step_reference(even, abc, np2_minimal, random_generator_machines):
+    machines = [even, abc, np2_minimal] + random_generator_machines[:8]
+    for machine in machines:
+        for seed in (1, 2, 3):
+            for horizon in (0, 1, 30):
+                got = estimate_decay(machine, horizon, 60, seed)
+                ref = _reference_estimate_decay(machine, horizon, 60, seed)
+                for field in ("horizon", "n_chains", "alpha", "decay_rate", "alpha_hat"):
+                    assert getattr(got, field) == getattr(ref, field)
+                for field in ("mean_doubt", "frac_exceed", "frac_unsynced"):
+                    a, b = getattr(got, field), getattr(ref, field)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_estimate_decay_updates_each_distinct_step_once(even, monkeypatch):
+    calls = []
+
+    def counting_update(machine, phi, x):
+        calls.append(x)
+        return belief_update(machine, phi, x)
+
+    monkeypatch.setattr(mixed_state, "belief_update", counting_update)
+    estimate_decay(even, horizon=20, n_chains=5000, seed=1)
+    assert 0 < len(calls) < 100  # per step it would be 100,000
+
+
+@pytest.mark.parametrize("name", ["even", "abc", "np2_minimal", "random"])
+def test_unsynced_fraction_matches_exact_support_propagation(request, name):
+    # the observer synchronizes (Travers & Crutchfield): the Monte Carlo
+    # fraction of chains with positive doubt tracks the exact probability
+    # that the belief support still holds more than one state
+    if name == "random":
+        machines = request.getfixturevalue("random_generator_machines")[:6]
+    else:
+        machines = [request.getfixturevalue(name)]
+    n_chains, horizon = 5000, 20
+    for machine in machines:
+        exact = unsynced_fraction(machine, horizon)
+        est = estimate_decay(machine, horizon=horizon, n_chains=n_chains, seed=3)
+        se = np.sqrt(exact * (1.0 - exact) / n_chains)
+        assert np.all(np.abs(est.frac_unsynced - exact) <= 5.0 * se + 1e-12)

@@ -53,6 +53,8 @@ def test_bad_start_rejected(even):
         sample_path(even, [0.5, 0.6], 10, seed=1)
     with pytest.raises(ValueError):
         sample_path(even, "typo", 10, seed=1)
+    with pytest.raises(ValueError, match="probability vector"):
+        sample_path(even, [np.nan, 1.0], 10, seed=1)
 
 
 def test_stationary_start_requires_irreducible():
