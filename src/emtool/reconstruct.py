@@ -21,6 +21,7 @@ Two routes:
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -98,16 +99,76 @@ def future_feature_basis(
     return np.column_stack(basis)
 
 
+class _KeyIndex:
+    """Class keys bucketed by one fixed projection, for max-norm lookups.
+
+    A key ``k`` goes to bucket ``floor((u @ k) / w)`` with ``‖u‖₁ = 1``,
+    ``u[0] = 0`` (basis column 0 is uniform, so it is constant on every
+    belief's key) and ``w = 2*tol + 4*d*eps`` for basis width ``d``.  A key
+    is a probability vector times orthonormal columns, so its entries lie in
+    [-1, 1] and the computed ``u @ k`` is within ``d*eps`` of the exact
+    value; two keys within ``tol`` of each other in max norm therefore land
+    in the same bucket or adjacent ones.  A lookup scans buckets b-1, b and
+    b+1 only, in ascending index order, and finds what a scan of every key
+    would: the lowest index at the minimum distance when that distance is
+    within ``tol``.  Rows ``[0, n)`` of the doubling matrix ``keys`` hold
+    the keys in insertion order.
+    """
+
+    def __init__(self, d, tol):
+        # golden-ratio (Weyl) weights: spread out, and no numpy.random import
+        u = np.arange(d) * 0.6180339887498949 % 1.0 - 0.5
+        u[0] = 0.0
+        if d > 1:  # at d = 1 every key shares bucket 0
+            u /= np.abs(u).sum()
+        self.u = u
+        self.w = 2.0 * tol + 4.0 * d * np.finfo(float).eps
+        self.tol = tol
+        self.keys = np.empty((16, d))
+        self.n = 0
+        self.buckets: dict[int, list[int]] = {}
+
+    def _bucket(self, key):
+        return math.floor(float(self.u @ key) / self.w)
+
+    def add(self, key):
+        if self.n == len(self.keys):
+            self.keys = np.concatenate([self.keys, np.empty_like(self.keys)])
+        self.keys[self.n] = key
+        self.buckets.setdefault(self._bucket(key), []).append(self.n)
+        self.n += 1
+
+    def candidates(self, key):
+        """Indices, ascending, that may lie within ``tol`` of ``key``, and
+        their max-norm distances to it."""
+        b = self._bucket(key)
+        get = self.buckets.get
+        idx = sorted(get(b - 1, []) + get(b, []) + get(b + 1, []))
+        return idx, np.abs(self.keys.take(idx, axis=0) - key).max(axis=1)
+
+    def nearest(self, key):
+        """The lowest index at the minimum distance to ``key`` if that
+        distance is within ``tol``, else None."""
+        idx, dists = self.candidates(key)
+        if not idx:
+            return None
+        j = int(np.argmin(dists))
+        return idx[j] if dists[j] <= self.tol else None
+
+
 def _explore_beliefs(machine, pi, basis, depth, tol, cap, raise_on_cap):
     """Breadth-first closure of beliefs reachable from ``pi``.
 
-    Returns ``(classes, truncated)``; when the class count would exceed
-    ``cap`` the closure either raises ClassExplosionError or stops and
-    reports truncation, depending on ``raise_on_cap``.
+    Returns ``(classes, truncated, index)``, ``index`` holding the class
+    keys; when the class count would exceed ``cap`` the closure either
+    raises ClassExplosionError or stops and reports truncation, depending on
+    ``raise_on_cap``.  Each new belief is compared only with the classes in
+    its own and the two neighbouring buckets of ``index``, so a lookup costs
+    the size of those buckets, not the class count.
     """
     classes: list[BeliefClass] = [BeliefClass(rep=pi, key=pi @ basis, word=())]
-    keys = np.empty((16, basis.shape[1]))  # rows [0, len(classes)) hold the class keys
-    keys[0] = classes[0].key
+    index = _KeyIndex(basis.shape[1], tol)
+    index.add(classes[0].key)
     queue = deque([0])
     while queue:
         ci = queue.popleft()
@@ -123,9 +184,8 @@ def _explore_beliefs(machine, pi, basis, depth, tol, cap, raise_on_cap):
                 continue
             nxt = belief_update(machine, phi, x)
             key = nxt @ basis
-            dists = np.abs(keys[: len(classes)] - key).max(axis=1)
-            hit = int(np.argmin(dists))
-            if dists[hit] <= tol:
+            hit = index.nearest(key)
+            if hit is not None:
                 cls.successors[x] = (p, hit)
                 continue
             if len(classes) >= cap:
@@ -135,14 +195,12 @@ def _explore_beliefs(machine, pi, basis, depth, tol, cap, raise_on_cap):
                         " is not finitely characterized at this resolution",
                         n_classes=len(classes) + 1,
                     )
-                return classes, True
-            if len(classes) == len(keys):
-                keys = np.concatenate([keys, np.empty_like(keys)])
-            keys[len(classes)] = key
+                return classes, True, index
+            index.add(key)
             classes.append(BeliefClass(rep=nxt, key=key, word=cls.word + (x,)))
             cls.successors[x] = (p, len(classes) - 1)
             queue.append(len(classes) - 1)
-    return classes, False
+    return classes, False, index
 
 
 def _recurrent_classes(classes):
@@ -192,14 +250,21 @@ def reconstruct_analytic(
     of explored classes (None = closure-bounded) and exceeding ``cap``
     raises ClassExplosionError, signalling an effectively infinite state
     set.
+
+    ``tol`` must be finite and nonnegative (ValueError otherwise).  Class
+    keys are bucketed by ``_KeyIndex``, so each lookup, in the closure and
+    for ``state_words``, costs the size of three neighbouring buckets, not
+    the class count, and returns what a scan of every class would.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if l_fut is None:
         l_fut = 2 * machine.n_states + 2
     pi = stationary_distribution(machine).pi
     basis = future_feature_basis(machine, l_fut)
 
     unifilar = is_unifilar(machine)[0]
-    classes, truncated = _explore_beliefs(
+    classes, truncated, index = _explore_beliefs(
         machine, pi, basis, depth, tol, cap, raise_on_cap=not unifilar
     )
     atlas = BeliefAtlas(classes=classes, basis=basis)
@@ -215,11 +280,10 @@ def reconstruct_analytic(
             mu[c] += pi[i]
         # shortest word in the atlas that synchronizes to each class, if any:
         # a class key is its rep's projection, and vertex r projects to basis[r]
-        keys = np.array([cls.key for cls in classes])
         state_words = []
         for r in reps:
-            hits = np.flatnonzero(np.abs(keys - basis[r]).max(axis=1) <= tol)
-            words = [classes[h].word for h in hits]
+            idx, dists = index.candidates(basis[r])
+            words = [classes[h].word for h, d in zip(idx, dists.tolist()) if d <= tol]
             state_words.append(min(words, key=lambda w: (len(w), w)) if words else None)
         n_transient = len(classes) - sum(w is not None for w in state_words)
     else:

@@ -15,6 +15,10 @@ import numpy as np
 from .errors import NotIrreducibleError
 from .machine import LabeledMatrixMachine, choice_cdf, stationary_distribution
 
+# Uniforms per ``rng.random`` call in ``sample_path``: bounds the floats held
+# at once without changing the stream.
+BLOCK = 1 << 16
+
 
 @dataclass
 class SampleRun:
@@ -78,10 +82,11 @@ def sample_path(
     state is the draw ``rng.choice(n_states, p=dist)`` would make: one
     ``rng.random()`` inverted over ``dist``'s cumulative sum divided by its
     last entry (cached per machine for the stationary start).  Then each
-    step inverts one uniform draw of ``rng.random(length)`` over the current
-    state's cumulative outgoing edge probabilities in file order: the first
-    edge whose cumulative sum exceeds the draw times the total, or the last
-    edge.  The loop runs on plain Python lists, since numpy scalars cost
+    step inverts one uniform draw over the current state's cumulative
+    outgoing edge probabilities in file order: the first edge whose
+    cumulative sum exceeds the draw times the total, or the last edge.  The
+    draws are ``rng.random(length)``'s stream, taken ``BLOCK`` at a time.
+    The loop runs on plain Python lists, since numpy scalars cost
     microseconds per step.
     """
     if length < 0:
@@ -93,12 +98,13 @@ def sample_path(
     s = bisect_right(cdf, rng.random())
     states = [s]
     symbols = []
-    for u in rng.random(length).tolist():
-        cum, total, last, syms, tgts = rows[s]
-        k = bisect_right(cum, u * total, 0, last)  # clamped to the last edge
-        symbols.append(syms[k])
-        s = tgts[k]
-        states.append(s)
+    for done in range(0, length, BLOCK):
+        for u in rng.random(min(BLOCK, length - done)).tolist():
+            cum, total, last, syms, tgts = rows[s]
+            k = bisect_right(cum, u * total, 0, last)  # clamped to the last edge
+            symbols.append(syms[k])
+            s = tgts[k]
+            states.append(s)
     symbols, states = np.array(symbols, dtype=np.int64), np.array(states, dtype=np.int64)
     return SampleRun(symbols=symbols, states=states, seed=int(seed), start=dist)
 

@@ -265,6 +265,14 @@ def test_bad_sizes_exit_3_with_plain_message(capsys, even_file, argv, message):
     assert err.strip() == message
 
 
+@pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+def test_reconstruct_analytic_rejects_bad_tol(capsys, even_file, tol, shown):
+    code, out, err = run(capsys, "reconstruct", "analytic", even_file, f"--tol={tol}")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == f"error: tol must be finite and nonnegative, got {shown}"
+
+
 def test_sync_profile_horizon_zero(capsys, even_file):
     code, out, _ = run(capsys, "sync-profile", even_file, "--horizon", "0", "--chains", "10",
                        "--seed", "1")

@@ -5,6 +5,7 @@ from emtool import examples
 from emtool.errors import NotIrreducibleError
 from emtool.machine import Alphabet, LabeledMatrixMachine, word_prob_stationary
 from emtool.simulate import (
+    BLOCK,
     _resolve_start,
     check_edge_consistency,
     empirical_word_probs,
@@ -129,15 +130,29 @@ def _dense_random_machine(n=5, k=3, seed=4):
 
 
 @pytest.mark.parametrize("name", ["even", "abc", "np2", "np2_minimal", "sns", "dense"])
-def test_sample_path_matches_numpy_reference(request, name):
+def test_sample_path_matches_numpy_reference(request, monkeypatch, name):
     machine = _dense_random_machine() if name == "dense" else request.getfixturevalue(name)
     n = machine.n_states
     starts = ["stationary", n - 1, np.arange(1, n + 1) / (n * (n + 1) / 2)]
+    block = 64  # a small block, so that every path below crosses its edges
+    monkeypatch.setattr("emtool.simulate.BLOCK", block)
     for start in starts:
-        for length in (0, 1, 5000):
+        for length in (0, 1, 5000, block - 1, block, block + 1, 2 * block + 3):
             for chain in range(4):
                 run = sample_path(machine, start, length, seed=17, chain=chain)
                 symbols, states = _reference_sample_path(machine, start, length, 17, chain)
                 assert run.symbols.dtype == run.states.dtype == np.int64
                 assert np.array_equal(run.symbols, symbols)
                 assert np.array_equal(run.states, states)
+
+
+def test_sample_path_blocks_match_numpy_reference():
+    # lengths around the block size of the uniform draws; the reference path
+    # of one length is a prefix of that of any longer length on one stream
+    machine = _dense_random_machine()
+    longest = 2 * BLOCK + 3
+    symbols, states = _reference_sample_path(machine, "stationary", longest, 17, 1)
+    for length in (BLOCK - 1, BLOCK, BLOCK + 1, longest):
+        run = sample_path(machine, "stationary", length, seed=17, chain=1)
+        assert np.array_equal(run.symbols, symbols[:length])
+        assert np.array_equal(run.states, states[: length + 1])
