@@ -47,17 +47,52 @@ def _load_machine(path: str):
     return machine
 
 
+# Bytes that str.split() treats as whitespace among ASCII: \t \n \v \f \r,
+# the separators \x1c-\x1f and the space.
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20]] = True
+
+
+def _read_bytes(path: str) -> bytes:
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _load_sample(path: str, alphabet_arg: str | None):
     """Sample file: whitespace-separated symbol names.  The alphabet is
-    either given explicitly or inferred as the sorted set of tokens."""
-    tokens = _read_text(path).split()
-    if not tokens:
-        raise EmtoolError(f"sample file {path} is empty")
-    if alphabet_arg:
-        alphabet = Alphabet(tuple(alphabet_arg.split(",")))
+    either given explicitly or inferred as the sorted set of tokens.
+
+    A file of ASCII whose tokens are all one byte long is mapped through a
+    256-entry table; any other file is split into tokens as UTF-8 text."""
+    data = _read_bytes(path)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    solid = ~_ASCII_SPACE[raw]
+    one_byte = not raw.size or (raw.max() < 0x80 and not (solid[1:] & solid[:-1]).any())
+    if one_byte:
+        codes = raw[solid]
+        n_tokens = codes.size
+        names = [chr(c) for c in np.flatnonzero(np.bincount(codes, minlength=256)).tolist()]
     else:
-        alphabet = Alphabet(tuple(sorted(set(tokens))))
+        tokens = data.decode("utf-8").split()
+        n_tokens = len(tokens)
+        names = sorted(set(tokens))
+    if not n_tokens:
+        raise EmtoolError(f"sample file {path} is empty")
+    alphabet = Alphabet(tuple(alphabet_arg.split(",") if alphabet_arg else names))
     index = {s: i for i, s in enumerate(alphabet.symbols)}
+    if one_byte:
+        lut = np.full(256, -1, dtype=np.int64)
+        for s, i in index.items():
+            if len(s) == 1 and ord(s) < 0x80:
+                lut[ord(s)] = i
+        symbols = lut[codes]
+        missing = np.flatnonzero(symbols < 0)
+        if missing.size:
+            bad = chr(codes[missing[0]])
+            raise EmtoolError(f"sample token {bad!r} not in alphabet {alphabet.symbols}")
+        return symbols, alphabet
     try:
         symbols = np.array([index[t] for t in tokens], dtype=np.int64)
     except KeyError as exc:
@@ -135,8 +170,17 @@ def cmd_sample(args) -> int:
         except ValueError:
             start = [float(v) for v in start.split(",")]
     run = simulate.sample_path(machine, start, args.len, args.seed, chain=args.chain)
-    names = [name + "\n" for name in machine.alphabet.symbols]
-    _write_text(args.out, "".join([names[x] for x in run.symbols.tolist()]))
+    names = machine.alphabet.symbols
+    if all(len(name) == 1 and ord(name) < 0x80 for name in names):
+        # one byte per symbol: a symbol byte and a newline per line
+        lines = np.empty((len(run.symbols), 2), dtype=np.uint8)
+        lines[:, 0] = np.frombuffer("".join(names).encode("ascii"), dtype=np.uint8)[run.symbols]
+        lines[:, 1] = ord("\n")
+        text = lines.tobytes().decode("ascii")
+    else:
+        lines = [name + "\n" for name in names]
+        text = "".join([lines[x] for x in run.symbols.tolist()])
+    _write_text(args.out, text)
     return EXIT_OK
 
 

@@ -31,11 +31,12 @@ from .axioms import is_unifilar, terminal_components
 from .errors import (
     ClassExplosionError,
     InsufficientDataError,
+    NumericalError,
     ReconstructionError,
 )
 from .machine import Alphabet, LabeledMatrixMachine, stationary_distribution
 from .minimize import minimize_unifilar
-from .mixed_state import belief_update
+from .mixed_state import _snap
 
 # Symbol probabilities at or below this are treated as absent edges during
 # belief exploration.
@@ -182,7 +183,7 @@ def _explore_beliefs(machine, pi, basis, depth, tol, cap, raise_on_cap):
             p = float(un.sum())
             if p <= P_FLOOR:
                 continue
-            nxt = belief_update(machine, phi, x)
+            nxt = _snap(un / p)  # belief_update's Bayes step, reusing the product
             key = nxt @ basis
             hit = index.nearest(key)
             if hit is not None:
@@ -380,19 +381,118 @@ def build_context_model(symbols, l_ctx: int, l_fut: int, n_symbols: int) -> Cont
     )
 
 
-def _convex_fit_residual(target: np.ndarray, others: np.ndarray):
-    """Best L2 fit of ``target`` by a convex combination of ``others`` rows;
-    returns the max-norm residual of the (renormalized) fit."""
-    from scipy.optimize import nnls  # lazy: it dominates the import time of emtool.cli
+def _nnls(A, b, gram=None, allowed=None, passive=()):
+    """Nonnegative least squares: ``argmin ‖A c − b‖₂`` over ``c >= 0``.
 
-    A = np.vstack([others.T, CONVEX_WEIGHT * np.ones(others.shape[0])])
-    b = np.concatenate([target, [CONVEX_WEIGHT]])
-    coef, _ = nnls(A, b)
-    total = coef.sum()
+    The Lawson–Hanson active-set method (Lawson & Hanson 1974, ch. 23) on
+    the normal equations, for wide problems with few rows: only the passive
+    columns are ever solved for, so a step costs one ``|P| × |P|`` solve.
+    ``gram`` is ``AᵀA``, passed in when many fits share it; only columns
+    where ``allowed`` is True may enter.  ``passive`` warm-starts the active
+    set with allowed columns known to be independent (say the support of an
+    earlier fit): columns whose least-squares coefficient on it is
+    nonpositive are dropped until the rest are positive.
+
+    Every passive solve takes one corrected semi-normal-equations step
+    (re-solving against the residual of ``A``'s own columns), so residuals
+    match a QR-based solver even on ill-conditioned passive sets.  A column
+    enters only when its gradient exceeds rounding level and its part
+    orthogonal to the passive columns is nonzero at working precision;
+    a dependent column is skipped, as in the original method.  A singular
+    solve on a warm-start or shrunken passive set, or no convergence within
+    ``3n`` steps, raises NumericalError.  Returns ``c``, zero outside the
+    passive set.
+    """
+    At = A.T
+    n = len(At)
+    if gram is None:
+        gram = At @ A
+    if allowed is None:
+        allowed = np.ones(n, dtype=bool)
+    g = At @ b
+
+    def solve(P, new=None):
+        """Coefficients of the least-squares fit of ``b`` by columns ``P``
+        and, for ``new``, 1 / (Schur complement of that column)."""
+        AtP = At.take(P, 0)
+        try:
+            inv = np.linalg.inv(gram.take(P, 0).take(P, 1))
+        except np.linalg.LinAlgError:
+            if new is not None:
+                return None, None
+            raise NumericalError("singular passive-set solve in NNLS") from None
+        z = inv @ g.take(P)
+        z += inv @ (AtP @ (b - z @ AtP))
+        return z, None if new is None else inv[new, new]
+
+    x = np.zeros(n)
+    if not n:
+        return x
+    P = np.sort(np.asarray(passive, dtype=np.intp))  # kept ascending
+    while len(P):
+        z, _ = solve(P)
+        if (z > 0.0).all():
+            x[P] = z
+            break
+        P = P[z > 0.0]
+    eps = np.finfo(float).eps
+    a_max = math.sqrt(float(gram.diagonal().max(initial=0.0)))  # bounds every |A[k, j]|
+    b_max = float(np.abs(b).max(initial=0.0))
+    blocked = ~allowed
+    blocked[P] = True
+    for _ in range(3 * n + 1):
+        # minus the gradient, from the residual (no cancellation of g - Gx),
+        # and a bound on its rounding error
+        w = At @ (b - x.take(P) @ At.take(P, 0))
+        tol = 10.0 * len(b) * eps * a_max * (a_max * float(x.sum()) + b_max)
+        w[blocked] = -np.inf
+        while True:
+            j = int(np.argmax(w))
+            if not w[j] > tol:
+                return x
+            pos = int(np.searchsorted(P, j))
+            Q = np.concatenate((P[:pos], [j], P[pos:]))
+            z, inv_schur = solve(Q, pos)
+            if z is not None and z[pos] > 0.0 and 0.0 < inv_schur * gram[j, j] * len(Q) * eps < 1.0:
+                break
+            w[j] = -np.inf  # numerically dependent on the passive columns
+        P = Q
+        blocked[j] = True
+        while not (z > 0.0).all():
+            # step from x towards z until the first coefficient hits zero
+            xp = x.take(P)
+            neg = np.flatnonzero(z <= 0.0)
+            ratio = xp[neg] / (xp[neg] - z[neg])
+            k = int(np.argmin(ratio))
+            xp += ratio[k] * (z - xp)
+            xp[neg[k]] = 0.0
+            keep = xp > 0.0
+            x[P] = np.where(keep, xp, 0.0)
+            gone = P[~keep]
+            blocked[gone] = ~allowed[gone]
+            P = P[keep]
+            z, _ = solve(P)
+        x[P] = z
+    raise NumericalError(f"NNLS did not converge within {3 * n} steps")
+
+
+def _convex_fit_residual(aug, gram, i, allowed, passive=()):
+    """Best L2 fit of context ``i``'s distribution by a convex combination of
+    the ``allowed`` contexts' (``i`` excluded by the caller).
+
+    Row ``j`` of ``aug`` is context ``j``'s distribution with
+    ``CONVEX_WEIGHT`` appended, the sum-to-one row of the least squares, and
+    ``gram = aug @ aug.T``; ``passive`` warm-starts the NNLS.  Returns the
+    max-norm residual of the renormalized fit (inf when the fit is zero) and
+    the fit's support, the contexts with positive weight.
+    """
+    coef = _nnls(aug.T, aug[i], gram, allowed, passive)
+    support = np.flatnonzero(coef > 0.0)
+    total = coef[support].sum()
     if total <= 0.0:
-        return np.inf
-    coef = coef / total
-    return float(np.abs(others.T @ coef - target).max())
+        return np.inf, support
+    fit = aug[support, :-1].T @ (coef[support] / total)
+    return float(np.abs(fit - aug[i, :-1]).max()), support
 
 
 def reconstruct_empirical(
@@ -418,6 +518,13 @@ def reconstruct_empirical(
     ``pool_tol`` of a surviving one are pooled back into it to sharpen the
     estimates.  Transitions follow count-weighted majority over suffix
     extensions of member contexts.
+
+    The convex fits are NNLS problems with few rows (the futures) and many
+    columns (the contexts), solved by ``_nnls`` over one Gram matrix of the
+    kept contexts formed per call.  A re-evaluated context warm-starts from
+    the support of its previous fit, and skips the fit altogether when that
+    support is still alive: the optimum is then unchanged.
+    ``diagnostics["convex_fits"]`` counts the fits actually solved.
     """
     model = build_context_model(symbols, l_ctx, l_fut, n_symbols)
     keep = model.ctx_counts >= min_count
@@ -441,11 +548,27 @@ def reconstruct_empirical(
     # residuals of the rest, so stale heap entries are lower bounds and the
     # usual lazy re-evaluation applies.
     alive = np.ones(n_ctx, dtype=bool)
+    aug = np.hstack([dists, np.full((n_ctx, 1), CONVEX_WEIGHT)])
+    gram = aug @ aug.T
+    fits: list = [None] * n_ctx  # (slack, support) of each context's last fit
+    n_fits = 0
 
     def slack(i):
-        others = np.flatnonzero(alive)
-        r = _convex_fit_residual(dists[i], dists[others[others != i]])
-        return r - tols[i]
+        nonlocal n_fits
+        passive = ()
+        if fits[i] is not None:
+            s, support = fits[i]
+            # the residual depends only on A @ coef, and removing columns
+            # outside the optimum's support leaves the optimum optimal
+            if alive[support].all():
+                return s
+            passive = support[alive[support]]
+        allowed = alive.copy()
+        allowed[i] = False
+        r, support = _convex_fit_residual(aug, gram, i, allowed, passive)
+        n_fits += 1
+        fits[i] = (r - tols[i], support)
+        return fits[i][0]
 
     heap = [(slack(i), i) for i in range(n_ctx)]
     heapq.heapify(heap)
@@ -558,5 +681,6 @@ def reconstruct_empirical(
             "inconsistent_transitions": witnesses,
             "warnings": warnings,
             "dropped": len(dropped_order),
+            "convex_fits": n_fits,
         },
     )

@@ -8,7 +8,8 @@ import pytest
 
 import emtool
 from emtool import examples
-from emtool.cli import main
+from emtool.cli import _load_sample, main
+from emtool.errors import EmtoolError
 from emtool.fileio import parse_machine, save_machine, serialize_machine
 from emtool.machine import Alphabet, LabeledMatrixMachine
 from emtool.simulate import sample_path
@@ -131,13 +132,111 @@ def test_sample_writer_multichar_symbols(capsys, tmp_path):
     assert out == "".join(machine.alphabet.symbols[x] + "\n" for x in run_.symbols)
 
 
-def test_import_cli_does_not_load_scipy_optimize():
+def test_reconstruct_empirical_runs_without_scipy(capsys, tmp_path, even_file):
+    # emtool never imports scipy: with scipy unimportable, a cold
+    # `reconstruct empirical` prints what the in-process call prints
+    sample = tmp_path / "s.txt"
+    run(capsys, "sample", even_file, "--len", "50000", "--seed", "8", "--out", str(sample))
+    argv = ["reconstruct", "empirical", str(sample), "--lctx", "5", "--lfut", "3",
+            "--min-count", "200"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
     src = str(Path(emtool.__file__).resolve().parents[1])
-    code = "import sys, emtool.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
+    script = ("import sys; sys.modules['scipy'] = None\n"
+              "from emtool.cli import main; sys.exit(main(sys.argv[1:]))")
+    cold = subprocess.run([sys.executable, "-c", script, *argv], cwd=src,
+                          capture_output=True, text=True)
+    assert (cold.returncode, cold.stdout, cold.stderr) == (0, out, err)
+
+
+def _load_sample_tokens(text, alphabet_arg):
+    """The token loader the byte path must agree with: split the text,
+    infer or take the alphabet, map each token through a dict."""
+    tokens = text.split()
+    if not tokens:
+        raise EmtoolError("empty")
+    names = alphabet_arg.split(",") if alphabet_arg else sorted(set(tokens))
+    alphabet = Alphabet(tuple(names))
+    index = {s: i for i, s in enumerate(alphabet.symbols)}
+    missing = [t for t in tokens if t not in index]
+    if missing:
+        raise EmtoolError(f"sample token {missing[0]!r} not in alphabet {alphabet.symbols}")
+    return np.array([index[t] for t in tokens], dtype=np.int64), alphabet
+
+
+LOADER_CASES = {
+    "mixed_whitespace": ("0 1\r\n1\t0\x0b1\x0c0\x1c1\x1d0\x1e1\x1f0\r1  \t\n\n ", None),
+    "isolated_separators": ("0 \x0b 1 \x0c 0 \x1c 1 \x1d 0 \x1e 1 \x1f 0\n", None),
+    "letters": ("c\na\nb\na\n", None),
+    "explicit_alphabet": ("1 0 1 1\n", "1,0,2"),
+    "multichar_alphabet_name": ("0 1 0\n", "0,1,ab"),
+    "non_ascii": ("\u03b1 \u03b2 \u03b1\n", None),
+    "non_ascii_mixed": ("0 \u03b1 1\u00a00\n", None),
+    "multichar": ("ab c ab\nc\n", None),
+    "one_multichar_token": ("0 1 10 1\n", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_load_sample_matches_token_path(tmp_path, case):
+    text, alphabet_arg = LOADER_CASES[case]
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode("utf-8"))
+    symbols, alphabet = _load_sample(str(path), alphabet_arg)
+    ref_symbols, ref_alphabet = _load_sample_tokens(text, alphabet_arg)
+    assert symbols.dtype == ref_symbols.dtype
+    assert np.array_equal(symbols, ref_symbols)
+    assert alphabet.symbols == ref_alphabet.symbols
+
+
+@pytest.mark.parametrize("text", ["0 1 2 1 3\n", "0 1 \u03b1 1\n", "0 1 22 1\n"])
+def test_load_sample_names_first_token_outside_alphabet(tmp_path, text):
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(EmtoolError) as exc:
+        _load_sample(str(path), "0,1")
+    with pytest.raises(EmtoolError) as ref:
+        _load_sample_tokens(text, "0,1")
+    assert str(exc.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\r\n", "\u00a0\n"])
+def test_load_sample_empty_file(capsys, tmp_path, text):
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode("utf-8"))
+    code, _, err = run(capsys, "words", str(path), "--max-len", "2")
+    assert code == 3
+    assert err == f"error: sample file {path} is empty\n"
+
+
+def test_load_sample_from_stdin(monkeypatch, tmp_path):
+    text = "1 0\r\n1 1\t0\n"
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    symbols, alphabet = _load_sample("-", None)
+    ref_symbols, ref_alphabet = _load_sample(str(path), None)
+    assert np.array_equal(symbols, ref_symbols) and alphabet == ref_alphabet
+
+
+@pytest.mark.parametrize("names", [("0", "1"), ("b", "a", "~")])
+def test_sample_writer_one_byte_symbols(capsys, tmp_path, names):
+    k = len(names)
+    matrices = np.zeros((k, 2, 2))
+    for x in range(k):
+        matrices[x, 0, x % 2] = matrices[x, 1, (x + 1) % 2] = 1.0 / k
+    machine = LabeledMatrixMachine(2, Alphabet(names), matrices)
+    path = tmp_path / "m.m"
+    save_machine(str(path), machine)
+    out_file = tmp_path / "s.txt"
+    code, out, _ = run(capsys, "sample", str(path), "--len", "3000", "--seed", "5")
+    assert code == 0
+    run(capsys, "sample", str(path), "--len", "3000", "--seed", "5", "--out", str(out_file))
+    # the joined writer, kept for multi-character names
+    run_ = sample_path(machine, "stationary", 3000, 5)
+    expected = "".join(machine.alphabet.symbols[x] + "\n" for x in run_.symbols)
+    assert out == expected
+    assert out_file.read_bytes() == expected.encode("ascii")
 
 
 def test_belief(capsys, even_file):

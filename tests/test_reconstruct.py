@@ -1,3 +1,4 @@
+import heapq
 import math
 from collections import deque
 
@@ -11,6 +12,7 @@ from emtool.errors import (
     ClassExplosionError,
     InsufficientDataError,
     NotIrreducibleError,
+    NumericalError,
 )
 from emtool.isomorphism import are_isomorphic
 from emtool.machine import (
@@ -22,10 +24,13 @@ from emtool.machine import (
 )
 from emtool.mixed_state import belief_update
 from emtool.reconstruct import (
+    CONVEX_WEIGHT,
     P_FLOOR,
     BeliefClass,
+    _convex_fit_residual,
     _explore_beliefs,
     _KeyIndex,
+    _nnls,
     build_context_model,
     future_feature_basis,
     reconstruct_analytic,
@@ -193,6 +198,16 @@ def test_empirical_state_future_matches_machine(even):
             )
 
 
+def test_empirical_single_context():
+    # one frequent context leaves its fit no columns: the NNLS returns zero
+    # weights (residual inf) and the context is the one state
+    result = reconstruct_empirical(np.zeros(5000, dtype=np.int64), 2, l_ctx=4, l_fut=2,
+                                   min_count=10)
+    assert result.machine.n_states == 1
+    assert result.diagnostics["dropped"] == 0
+    assert result.diagnostics["state_contexts"] == [[(0, 0, 0, 0)]]
+
+
 def _split_even(p=0.5):
     """Nonunifilar presentation of the even process: state 0 of ``even(p)``
     split into two copies, its 0-edge shared equally between them."""
@@ -344,3 +359,178 @@ def test_key_index_breaks_ties_to_the_lowest_index(side, own_first):
     keys = [first, second]
     assert np.abs(first - probe).max() == np.abs(second - probe).max() == tol
     assert index.nearest(probe) == _brute_nearest(keys, probe, tol) == 0
+
+
+# ------------------------------------------------------- convex elimination
+
+
+def _nnls_problem(rng, kind):
+    """A random NNLS problem with 3-39 rows and 1-300 columns: Gaussian,
+    uniform, or the convex-fit shape of the empirical elimination (columns
+    are distributions over m - 1 futures with the weight row appended)."""
+    m, n = int(rng.integers(3, 40)), int(rng.integers(1, 301))
+    if kind == "gauss":
+        return rng.standard_normal((m, n)), rng.standard_normal(m)
+    if kind == "uniform":
+        return rng.random((m, n)), rng.random(m)
+    dists = rng.dirichlet(np.full(m - 1, 0.5), size=n)
+    # half the targets lie inside the hull, where the optimal residual is 0
+    target = dists[:5].mean(axis=0) if rng.random() < 0.5 else rng.dirichlet(np.full(m - 1, 0.5))
+    weight = np.full((1, n), CONVEX_WEIGHT)
+    return np.vstack([dists.T, weight]), np.append(target, CONVEX_WEIGHT)
+
+
+@pytest.mark.parametrize("case", ["plain", "duplicate", "target_column", "zero_target", "single"])
+def test_nnls_matches_scipy_residuals(case):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(["plain", "duplicate", "target_column", "zero_target", "single"].index(case))
+    worst = 0.0
+    for trial in range(600):
+        A, b = _nnls_problem(rng, ("gauss", "uniform", "convex")[trial % 3])
+        if case == "duplicate" and A.shape[1] > 1:
+            A[:, 1] = A[:, 0]
+        elif case == "target_column":
+            A[:, -1] = b
+        elif case == "zero_target":
+            b = np.zeros_like(b)
+        elif case == "single":
+            A = A[:, :1]
+        x = _nnls(A, b)
+        ref, _ = scipy_optimize.nnls(A, b)
+        assert x.shape == ref.shape and (x >= 0.0).all()
+        gap = abs(np.linalg.norm(A @ x - b) - np.linalg.norm(A @ ref - b))
+        worst = max(worst, gap)
+        if case == "zero_target":
+            assert not x.any()
+    assert worst <= 1e-10
+
+
+def test_convex_fit_residual_matches_scipy():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        A, _ = _nnls_problem(rng, "convex")
+        if A.shape[1] < 2:
+            continue  # scipy's nnls does not take a problem without columns
+        aug = A.T.copy()  # one row per context, weight last
+        gram = aug @ aug.T
+        i = int(rng.integers(len(aug)))
+        allowed = np.ones(len(aug), dtype=bool)
+        allowed[i] = False
+        r, support = _convex_fit_residual(aug, gram, i, allowed)
+        # the fit as it was made with scipy: nnls over the other rows
+        others = aug[allowed, :-1]
+        coef, _ = scipy_optimize.nnls(aug[allowed].T, aug[i])
+        ref = np.inf if coef.sum() <= 0.0 else np.abs(others.T @ (coef / coef.sum()) - aug[i, :-1]).max()
+        assert i not in support and allowed[support].all()
+        assert r == pytest.approx(ref, abs=1e-10, rel=0.0) or r == ref == np.inf
+
+
+def test_nnls_singular_passive_set_raises():
+    # a warm start on two identical columns cannot be solved; the routine
+    # says so instead of returning a residual
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.5, 0.5, 3.0]])
+    b = np.array([1.0, 2.0, 1.0])
+    with pytest.raises(NumericalError, match="singular"):
+        _nnls(A, b, passive=[0, 1])
+    # cold, the duplicate is skipped when it would enter, as a dependent column
+    x = _nnls(A, b)
+    assert np.count_nonzero(x[:2]) == 1
+    assert np.linalg.norm(A @ x - b) == pytest.approx(
+        np.linalg.norm(A[:, [0, 2]] @ np.linalg.lstsq(A[:, [0, 2]], b, rcond=None)[0] - b), abs=1e-14
+    )
+
+
+def test_nnls_degenerate_shapes():
+    assert _nnls(np.zeros((3, 0)), np.ones(3)).shape == (0,)
+    assert not _nnls(np.zeros((3, 2)), np.ones(3)).any()
+    # two equal columns: one of them carries the whole fit
+    assert sorted(_nnls(np.ones((3, 2)), np.ones(3)).tolist()) == [0.0, 1.0]
+
+
+def _elimination_problem(machine, seed):
+    run = sample_path(machine, "stationary", 2 * 10**5, seed=seed)
+    model = build_context_model(run.symbols, 6, 3, machine.n_symbols)
+    keep = model.ctx_counts >= 300
+    dists = model.future_counts[keep] / model.ctx_counts[keep][:, None]
+    aug = np.hstack([dists, np.full((len(dists), 1), CONVEX_WEIGHT)])
+    return aug, aug @ aug.T
+
+
+@pytest.mark.parametrize("name", ["even", "abc"])
+def test_support_reuse_matches_fresh_fit(request, name):
+    """Removing contexts outside a fit's support leaves the fit optimal: a fit
+    warm-started from that support returns the stored residual and support
+    bit for bit, and a cold fit agrees within 1e-15."""
+    aug, gram = _elimination_problem(request.getfixturevalue(name), seed=41)
+    n = len(aug)
+    rng = np.random.default_rng(3)
+    checked = 0
+    for i in range(n):
+        allowed = np.ones(n, dtype=bool)
+        allowed[i] = False
+        r, support = _convex_fit_residual(aug, gram, i, allowed)
+        outside = np.flatnonzero(allowed)
+        outside = outside[~np.isin(outside, support)]
+        if not outside.size:
+            continue
+        allowed[rng.choice(outside, size=(outside.size + 1) // 2, replace=False)] = False
+        warm_r, warm_support = _convex_fit_residual(aug, gram, i, allowed, support)
+        assert warm_r == r and np.array_equal(warm_support, support)
+        cold_r, _ = _convex_fit_residual(aug, gram, i, allowed)
+        assert cold_r == pytest.approx(r, abs=1e-15, rel=0.0) or cold_r == r == np.inf
+        checked += 1
+    assert checked >= n // 2
+
+
+def _scipy_elimination(symbols, n_symbols, l_ctx, l_fut, min_count, significance=0.05):
+    """The greedy elimination of ``reconstruct_empirical`` with a fresh
+    ``scipy.optimize.nnls`` fit at every evaluation; returns the surviving
+    contexts and the drop count."""
+    from scipy.optimize import nnls
+
+    model = build_context_model(symbols, l_ctx, l_fut, n_symbols)
+    keep = model.ctx_counts >= min_count
+    codes, counts = model.ctx_codes[keep], model.ctx_counts[keep]
+    dists = model.future_counts[keep] / counts[:, None]
+    tols = 2.0 * np.sqrt(np.log(1.0 / significance) / counts)
+    alive = np.ones(len(codes), dtype=bool)
+
+    def slack(i):
+        others = np.flatnonzero(alive)
+        others = dists[others[others != i]]
+        A = np.vstack([others.T, CONVEX_WEIGHT * np.ones(len(others))])
+        coef, _ = nnls(A, np.append(dists[i], CONVEX_WEIGHT))
+        if coef.sum() <= 0.0:
+            return np.inf
+        return float(np.abs(others.T @ (coef / coef.sum()) - dists[i]).max()) - tols[i]
+
+    heap = [(slack(i), i) for i in range(len(codes))]
+    heapq.heapify(heap)
+    dropped = 0
+    while heap and alive.sum() > 1:
+        _, i = heapq.heappop(heap)
+        s = slack(i)
+        if heap and s > heap[0][0]:
+            heapq.heappush(heap, (s, i))
+            continue
+        if s > 0.0:
+            break
+        alive[i] = False
+        dropped += 1
+    return [model.decode_context(int(c)) for c in codes[alive]], dropped
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+@pytest.mark.parametrize("name", ["even", "abc"])
+def test_empirical_elimination_matches_scipy(request, name, seed):
+    pytest.importorskip("scipy.optimize")
+    machine = request.getfixturevalue(name)
+    run = sample_path(machine, "stationary", 2 * 10**5, seed=seed)
+    result = reconstruct_empirical(run.symbols, machine.n_symbols, l_ctx=6, l_fut=3, min_count=300)
+    survivors, dropped = _scipy_elimination(run.symbols, machine.n_symbols, 6, 3, 300)
+    diag = result.diagnostics
+    assert diag["dropped"] == dropped
+    assert not any("transient" in w for w in diag["warnings"])
+    assert sorted(members[0] for members in diag["state_contexts"]) == survivors
+    assert 0 < diag["convex_fits"] <= diag["n_contexts"] + 2 * dropped
