@@ -2,8 +2,9 @@
 
 Also holds the graph and partition primitives they rest on (strongly
 connected and terminal components, partition refinement) and the
-synchronizing-word search that separates exact machines (finite
-synchronizing word) from nonexact ones.
+breadth-first subset search behind the synchronizing words, which separate
+exact machines (finite synchronizing word) from nonexact ones, and behind
+the subset DFA of the support shift.
 """
 
 from __future__ import annotations
@@ -250,36 +251,84 @@ def is_generator_em(machine: LabeledMatrixMachine, tolerance: float = EPS_DIST) 
     )
 
 
-def find_sync_word(machine: LabeledMatrixMachine, max_len: int | None = None):
-    """Shortest word that drives an observer's consistent-state set to a
-    single state, or None when there is none (no longer than ``max_len``,
-    if given).
+class SubsetSearch:
+    """Breadth-first search, symbols in order, over the vertex subsets
+    reached from the set of all vertices: each subset is found by its
+    shortlex-least word.  ``succ[v][x]`` lists vertex ``v``'s
+    successors on symbol ``x``, so nondeterministic graphs fit too.
 
-    Breadth-first over the subset automaton of the support graph alone, from
-    the set of all states, ties broken by alphabet order; probabilities play
-    no part.  Each subset is expanded once, so the search ends without a
-    length cap; a slowly synchronizing machine's shortest word can be as
-    long as (N-1)**2.
+    Iterating runs the search from the start and yields each subset's index
+    as it is found, so a caller stops the search when it has what it needs.
+    ``subsets[i]`` is the i-th subset found, ``parent[i]`` the (subset
+    index, symbol) step that found it, and ``delta[i][x]`` its successor's
+    index on ``x`` (-1 for the empty set), appended once subset i is
+    expanded.
     """
+
+    def __init__(self, succ, n_symbols: int):
+        self._n_vertices = len(succ)
+        self._by_symbol = [[row[x] for row in succ] for x in range(n_symbols)]
+
+    def __iter__(self):
+        subsets = self.subsets = [frozenset(range(self._n_vertices))]
+        parent = self.parent = [None]
+        delta = self.delta = []
+        index = {subsets[0]: 0}
+        yield 0
+        for i, cur in enumerate(subsets):  # subsets grows as the search runs
+            row = []
+            for x, succ in enumerate(self._by_symbol):
+                nxt = frozenset(t for v in cur for t in succ[v])
+                if nxt and nxt not in index:
+                    index[nxt] = len(subsets)
+                    subsets.append(nxt)
+                    parent.append((i, x))
+                    yield index[nxt]
+                row.append(index[nxt] if nxt else -1)
+            delta.append(row)
+
+    def word(self, i: int) -> tuple[int, ...]:
+        """The shortlex-least word that reaches subset ``i``."""
+        out = []
+        while self.parent[i] is not None:
+            i, x = self.parent[i]
+            out.append(x)
+        return tuple(reversed(out))
+
+
+def _support_search(machine: LabeledMatrixMachine) -> SubsetSearch:
     require_unifilar(machine)
-    n = machine.n_states
-    if n == 1:
-        return ()
-    delta = unifilar_transitions(machine)
-    start = frozenset(range(n))
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        subset, word = queue.popleft()
-        if max_len is not None and len(word) >= max_len:
-            continue
-        for x in range(machine.n_symbols):
-            nxt = frozenset(delta[s][x] for s in subset if delta[s][x] is not None)
-            if not nxt or nxt in seen:
-                continue
-            w = word + (x,)
-            if len(nxt) == 1:
-                return w
-            seen.add(nxt)
-            queue.append((nxt, w))
+    succ = [[() if j < 0 else (j,) for j in row] for row in machine._delta.tolist()]
+    return SubsetSearch(succ, machine.n_symbols)
+
+
+def find_sync_word(machine: LabeledMatrixMachine):
+    """Shortest word that drives an observer's consistent-state set to a
+    single state, ties broken by alphabet order, or None when there is none.
+
+    The first singleton ``SubsetSearch`` finds on the support graph alone;
+    probabilities play no part.  Each subset is expanded once, so the
+    search ends without a length cap; a slowly synchronizing machine's
+    shortest word can be as long as (N-1)**2.
+    """
+    search = _support_search(machine)
+    for i in search:
+        if len(search.subsets[i]) == 1:
+            return search.word(i)
     return None
+
+
+def state_sync_words(machine: LabeledMatrixMachine):
+    """Per state ``s``, the shortlex-least word after which the observer's
+    consistent-state set is exactly ``{s}``, and the number of subsets the
+    search found before it had them all.  An irreducible machine reaches
+    every singleton from any one, so a nonexact machine gets all None.
+    """
+    search = _support_search(machine)
+    words: list[tuple[int, ...] | None] = [None] * machine.n_states
+    for i in search:
+        if len(search.subsets[i]) == 1:
+            words[min(search.subsets[i])] = search.word(i)
+            if None not in words:
+                break
+    return words, len(search.subsets)

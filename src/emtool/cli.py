@@ -231,10 +231,9 @@ def _print_recon_report(result) -> None:
     print("mu: " + " ".join(_fmt(v) for v in result.class_probability), file=err)
     diag = result.diagnostics
     if result.provenance.startswith("analytic"):
-        print(
-            f"belief classes: {diag['n_classes']} ({diag['n_transient']} transient)",
-            file=err,
-        )
+        unifilar = "n_subsets" in diag
+        print(f"support subsets: {diag['n_subsets']}" if unifilar else
+              f"belief classes: {diag['n_classes']} ({diag['n_transient']} transient)", file=err)
         fmt = result.machine.alphabet.format_word
         words = ["(none)" if w is None else fmt(w) or "(empty)" for w in diag["state_words"]]
         print("state words: " + " ".join(words), file=err)
@@ -368,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = p.add_subparsers(dest="mode", required=True)
     pa = rsub.add_parser("analytic", help="from a machine, via belief closure")
     pa.add_argument("source", metavar="machine")
-    pa.add_argument("--depth", type=int, default=None)
-    pa.add_argument("--lfut", type=int, default=None)
+    pa.add_argument("--depth", type=int, default=None, help="closure depth (nonunifilar inputs only)")
+    pa.add_argument("--lfut", type=int, default=None, help="future length (nonunifilar inputs only)")
     pa.add_argument("--tol", type=float, default=1e-9)
-    pa.add_argument("--cap", type=int, default=4096)
+    pa.add_argument("--cap", type=int, default=4096, help="class cap (nonunifilar inputs only)")
     pa.add_argument("--out", default="-")
     pa.set_defaults(func=cmd_reconstruct, mode="analytic")
     pe = rsub.add_parser("empirical", help="from a sample file")

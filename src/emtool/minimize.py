@@ -33,7 +33,8 @@ def minimize_unifilar(
 
     Blocks are ordered by lowest contained source index; each block's edge
     probabilities are taken from its lowest-index representative (all members
-    must agree within ``tolerance``).  The result of quotienting a valid
+    must agree within ``tolerance``, and the partition is a congruence, so
+    their successor blocks agree).  The result of quotienting a valid
     irreducible unifilar machine is always a generator machine.
     """
     require_unifilar(machine)
@@ -49,7 +50,7 @@ def minimize_unifilar(
     matrices = np.zeros((machine.n_symbols, n_blocks, n_blocks))
     for k, block in enumerate(partition.blocks):
         rep = block[0]
-        for s in block[1:]:
+        for s in block[1:]:  # can fire: seeds matched states a refined block may lack
             if np.abs(probs[s] - probs[rep]).max() > tolerance:
                 raise InconsistentBlockError(
                     f"states {rep} and {s} share a block but disagree on an edge"
@@ -57,13 +58,6 @@ def minimize_unifilar(
                 )
         for x in range(machine.n_symbols):
             if probs[rep, x] > 0.0:
-                succ = delta[rep][x]
-                for s in block[1:]:
-                    if class_of[delta[s][x]] != class_of[succ]:
-                        raise InconsistentBlockError(
-                            f"states {rep} and {s} share a block but transition to"
-                            f" different blocks on symbol {x}"
-                        )
-                matrices[x, k, class_of[succ]] = probs[rep, x]
+                matrices[x, k, class_of[delta[rep][x]]] = probs[rep, x]
     target = LabeledMatrixMachine(n_blocks, machine.alphabet, matrices)
     return QuotientMap(source=machine, partition=partition, target=target, class_of=class_of)

@@ -64,15 +64,11 @@ def belief_update(machine: LabeledMatrixMachine, phi, x: int) -> np.ndarray:
 def belief_of_word(machine: LabeledMatrixMachine, word) -> np.ndarray:
     """Belief after observing ``word`` from the stationary start.
 
-    Words outside the process language yield the stationary distribution by
-    convention rather than an error."""
-    pi = stationary_distribution(machine).pi
-    phi = pi
+    A word outside the process language raises ImpossibleSymbolError at
+    its first symbol of probability 0."""
+    phi = stationary_distribution(machine).pi
     for x in word:
-        try:
-            phi = belief_update(machine, phi, x)
-        except ImpossibleSymbolError:
-            return pi
+        phi = belief_update(machine, phi, x)
     return phi
 
 

@@ -7,10 +7,10 @@ Two routes:
   unifilar inputs the long-run belief of almost every past is a vertex, so
   the states are the classes of probabilistically equivalent vertices: the
   quotient ``minimize_unifilar`` computes, which is the equivalence of
-  history and generator machines.  The belief closure explored forward from
-  the stationary prior is kept as a diagnostic atlas.  For nonunifilar
+  history and generator machines; no belief is explored.  For nonunifilar
   inputs the vertex shortcut is unavailable and the recurrent part of the
-  prior-seeded belief closure is the state set itself.
+  belief closure explored forward from the stationary prior is the state
+  set itself.
 * ``reconstruct_empirical`` starts from a sampled symbol sequence, estimates
   the conditional future distribution of every frequent past context, and
   recovers the state set as the extreme points of that family: any context
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axioms import is_unifilar, terminal_components
+from .axioms import is_unifilar, state_sync_words, terminal_components
 from .errors import (
     ClassExplosionError,
     InsufficientDataError,
@@ -231,63 +231,44 @@ def reconstruct_analytic(
 ) -> ReconstructedMachine:
     """Recover the past-equivalence machine of the process a machine generates.
 
-    Two beliefs belong to the same class when their future word
-    distributions up to length ``l_fut`` (default 2N+2, enough to span all
-    futures) agree within ``tol``, compared via projections onto the
-    future-distribution span.
-
     For unifilar inputs the belief conditioned on almost every long past
     converges to a vertex, so the positive-probability past classes are the
     classes of probabilistically equivalent vertices; this holds even when
     no finite word pins the state exactly.  The machine is therefore the
     quotient ``minimize_unifilar(machine, tol)`` and μ sums π over each
-    class.  The belief closure explored breadth-first from the stationary
-    prior is still computed and attached as a diagnostic atlas (truncated
-    silently at ``cap``); ``state_words`` holds, per state, the shortest
-    atlas word that synchronizes to it, or None when the atlas has none.
+    class.  ``state_words`` and ``n_subsets`` come from ``state_sync_words``
+    on the quotient; ``depth``, ``l_fut`` and ``cap`` play no part.
 
     For nonunifilar inputs the states are the recurrent classes of the
-    prior-seeded closure itself; ``depth`` bounds the shortest-word length
-    of explored classes (None = closure-bounded) and exceeding ``cap``
-    raises ClassExplosionError, signalling an effectively infinite state
-    set.
+    belief closure explored breadth-first from the stationary prior.  Two
+    beliefs share a class when their future word distributions up to length
+    ``l_fut`` (default 2N+2, enough to span all futures) agree within
+    ``tol``, compared via projections onto the future-distribution span,
+    bucketed by ``_KeyIndex``.  ``depth`` bounds the shortest-word length of
+    explored classes (None = closure-bounded) and exceeding ``cap`` raises
+    ClassExplosionError, signalling an effectively infinite state set.
 
-    ``tol`` must be finite and nonnegative (ValueError otherwise).  Class
-    keys are bucketed by ``_KeyIndex``, so each lookup, in the closure and
-    for ``state_words``, costs the size of three neighbouring buckets, not
-    the class count, and returns what a scan of every class would.
+    ``tol`` must be finite and nonnegative (ValueError otherwise).
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    if l_fut is None:
-        l_fut = 2 * machine.n_states + 2
     pi = stationary_distribution(machine).pi
-    basis = future_feature_basis(machine, l_fut)
 
-    unifilar = is_unifilar(machine)[0]
-    classes, truncated, index = _explore_beliefs(
-        machine, pi, basis, depth, tol, cap, raise_on_cap=not unifilar
-    )
-    atlas = BeliefAtlas(classes=classes, basis=basis)
-
-    if unifilar:
+    if is_unifilar(machine)[0]:
         # The quotient of an irreducible machine is irreducible, so every
         # class is recurrent.
         quotient = minimize_unifilar(machine, tol)
         result = quotient.target
-        reps = [block[0] for block in quotient.partition.blocks]
-        mu = np.zeros(len(reps))
+        mu = np.zeros(result.n_states)
         for i, c in enumerate(quotient.class_of):
             mu[c] += pi[i]
-        # shortest word in the atlas that synchronizes to each class, if any:
-        # a class key is its rep's projection, and vertex r projects to basis[r]
-        state_words = []
-        for r in reps:
-            idx, dists = index.candidates(basis[r])
-            words = [classes[h].word for h, d in zip(idx, dists.tolist()) if d <= tol]
-            state_words.append(min(words, key=lambda w: (len(w), w)) if words else None)
-        n_transient = len(classes) - sum(w is not None for w in state_words)
+        state_words, n_subsets = state_sync_words(result)
+        diagnostics = {"n_classes": result.n_states, "atlas_truncated": False, "n_subsets": n_subsets}
     else:
+        if l_fut is None:
+            l_fut = 2 * machine.n_states + 2
+        basis = future_feature_basis(machine, l_fut)
+        classes, truncated, _ = _explore_beliefs(machine, pi, basis, depth, tol, cap, True)
         recurrent = _recurrent_classes(classes)
         index = {v: i for i, v in enumerate(recurrent)}
         m = len(recurrent)
@@ -296,23 +277,19 @@ def reconstruct_analytic(
             for x, (p, succ) in classes[v].successors.items():
                 matrices[x, index[v], index[succ]] = p
         state_words = [classes[v].word for v in recurrent]
-        n_transient = len(classes) - m
         result = LabeledMatrixMachine(m, machine.alphabet, matrices)
         mu = stationary_distribution(result).pi
-    return ReconstructedMachine(
-        machine=result,
-        class_probability=mu,
-        provenance="analytic",
-        diagnostics={
-            "atlas": atlas,
+        diagnostics = {
+            "atlas": BeliefAtlas(classes=classes, basis=basis),
             "atlas_truncated": truncated,
             "n_classes": len(classes),
-            "n_transient": n_transient,
-            "state_words": state_words,
+            "n_transient": len(classes) - m,
             "depth": depth,
             "l_fut": l_fut,
-            "tol": tol,
-        },
+        }
+    diagnostics.update(state_words=state_words, tol=tol)
+    return ReconstructedMachine(
+        machine=result, class_probability=mu, provenance="analytic", diagnostics=diagnostics
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import refine_partition, strongly_connected_components, terminal_components
+from .axioms import SubsetSearch, refine_partition, strongly_connected_components, terminal_components
 from .errors import NotIrreducibleShiftError
 from .isomorphism import are_isomorphic
 from .machine import Alphabet, LabeledMatrixMachine
@@ -114,40 +114,20 @@ def trim_essential(graph: LabeledGraph) -> LabeledGraph:
     return _induce(graph, from_cycle & to_cycle)
 
 
-def _subset_dfa(graph: LabeledGraph) -> list[list[int]]:
-    """Subset construction from the all-vertices start set, numbering states
-    breadth-first in symbol order (the shortlex order of their least words).
-    Every subset state accepts; the empty subset is left implicit."""
-    k = len(graph.alphabet.symbols)
-    succ = [[set() for _ in range(k)] for _ in range(graph.n_vertices)]
-    for i, x, j in graph.edges:
-        succ[i][x].add(j)
-    start = frozenset(range(graph.n_vertices))
-    index = {start: 0}
-    delta: list[list[int]] = []
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        row = []
-        for x in range(k):
-            nxt = frozenset().union(*(succ[v][x] for v in cur)) if cur else frozenset()
-            if not nxt:
-                row.append(-1)
-                continue
-            if nxt not in index:
-                index[nxt] = len(index)
-                queue.append(nxt)
-            row.append(index[nxt])
-        delta.append(row)
-    return delta
-
-
 def minimal_dfa(graph: LabeledGraph) -> Dfa:
     """Minimal partial DFA of the presented shift's factor language: the
-    subset DFA refined from one block (only the implicit sink rejects), its
-    blocks numbered by first appearance in the shortlex state order, which
-    is the quotient's own breadth-first numbering from the start."""
-    delta = np.array(_subset_dfa(graph), dtype=np.int64)
+    subset DFA (``SubsetSearch``'s table, every state accepting) refined
+    from one block (only the implicit sink rejects), its blocks numbered by
+    first appearance in the shortlex state order, which is the quotient's
+    own breadth-first numbering from the start."""
+    k = len(graph.alphabet.symbols)
+    succ: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(graph.n_vertices)]
+    for i, x, j in graph.edges:
+        succ[i][x].append(j)
+    search = SubsetSearch(succ, k)
+    for _ in search:
+        pass
+    delta = np.array(search.delta, dtype=np.int64)
     block = refine_partition(delta, np.zeros(len(delta)))
     first = np.sort(np.unique(block, return_index=True)[1])
     rank = np.empty(len(first), dtype=np.int64)

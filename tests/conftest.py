@@ -121,8 +121,8 @@ def brute_stationary_word_prob(machine, word):
 
 
 def brute_belief(machine, word):
-    """phi_i(word) = sum_j pi_j P(word, end in i | start j) / P(word), with
-    the stationary fallback for impossible words."""
+    """phi_i(word) = sum_j pi_j P(word, end in i | start j) / P(word), or
+    None for an impossible word."""
     pi = stationary_distribution(machine).pi
     n = machine.n_states
     mass = np.zeros(n)
@@ -135,8 +135,32 @@ def brute_belief(machine, word):
         else:
             mass[path[-1]] += p
     if mass.sum() <= 0.0:
-        return pi
+        return None
     return mass / mass.sum()
+
+
+def shortlex_state_words(machine, max_len):
+    """Per state ``s`` of a unifilar machine, the first word in shortlex
+    order, up to length ``max_len``, after which the set of states
+    consistent with it (from all states) is exactly ``{s}``, or None.
+    Every word of each length is enumerated on its own, none merged."""
+    delta = unifilar_transitions(machine)
+    n = machine.n_states
+    words = [None] * n
+    level = [((), frozenset(range(n)))]  # words of one length, in lexicographic order
+    for _ in range(max_len + 1):
+        for w, support in level:
+            if len(support) == 1 and words[min(support)] is None:
+                words[min(support)] = w
+        if None not in words:
+            break
+        level = [
+            (w + (x,), nxt)
+            for w, support in level
+            for x in range(machine.n_symbols)
+            if (nxt := frozenset(delta[v][x] for v in support if delta[v][x] is not None))
+        ]
+    return words
 
 
 def unsynced_fraction(machine, horizon):

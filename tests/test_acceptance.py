@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import all_words
+from conftest import all_words, shortlex_state_words
 from emtool import examples
 from emtool.axioms import (
     is_generator_em,
@@ -23,7 +23,7 @@ from emtool.machine import (
     word_prob_stationary,
 )
 from emtool.minimize import minimize_unifilar
-from emtool.mixed_state import belief_update, estimate_decay
+from emtool.mixed_state import belief_of_word, belief_update, estimate_decay
 from emtool.reconstruct import (
     future_feature_basis,
     reconstruct_analytic,
@@ -135,23 +135,27 @@ def _vertex_grouping(machine, tol):
 
 
 def test_criterion_3_state_words_match_vertex_projection(random_generator_machines):
-    # state_words compares the stacked class keys with basis rows; the
-    # reference projects every class rep and vertex anew
+    # Each state word is the shortlex-least word that synchronizes exactly:
+    # the reference enumerates every word on the quotient.  The belief after
+    # it lies inside the state's class, so its projection onto the future
+    # features is the class's vertex's.  The 2-fold lifts have two states
+    # per class.
+    rng = np.random.default_rng(20261018)
+    machines = list(random_generator_machines)
+    machines += [_two_fold_lift(rng, m) for m in machines[:50]]
     tol = 1e-9
-    for machine in random_generator_machines:
+    for machine in machines:
         result = reconstruct_analytic(machine, tol=tol)
-        atlas = result.diagnostics["atlas"]
-        expected = []
-        for block in minimize_unifilar(machine, tol).partition.blocks:
+        quotient = minimize_unifilar(machine, tol)
+        words = result.diagnostics["state_words"]
+        assert words == shortlex_state_words(quotient.target, 12)
+        basis = future_feature_basis(machine, 2 * machine.n_states + 2)
+        for block, word in zip(quotient.partition.blocks, words):
+            phi = belief_of_word(machine, word)
+            assert set(np.flatnonzero(phi).tolist()) <= set(block)
             vertex = np.zeros(machine.n_states)
             vertex[block[0]] = 1.0
-            hits = [
-                cls.word
-                for cls in atlas.classes
-                if np.abs(cls.rep @ atlas.basis - vertex @ atlas.basis).max() <= tol
-            ]
-            expected.append(min(hits, key=lambda w: (len(w), w)) if hits else None)
-        assert result.diagnostics["state_words"] == expected
+            assert np.abs(phi @ basis - vertex @ basis).max() <= tol
 
 
 def _two_fold_lift(rng, machine):
@@ -193,8 +197,7 @@ def test_criterion_3_analytic_classes_are_vertex_classes(random_generator_machin
         mu = np.zeros(m)
         for i, c in enumerate(class_of):
             mu[c] += stationary_distribution(machine).pi[i]
-        # the atlas does not enter the unifilar quotient; a small cap keeps
-        # the closure on the lifts cheap
+        # the cap plays no part for unifilar inputs
         result = reconstruct_analytic(machine, tol=tol, cap=64)
         assert np.array_equal(result.machine.matrices, matrices)
         assert np.array_equal(result.class_probability, mu)

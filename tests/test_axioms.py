@@ -1,14 +1,19 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
+from conftest import shortlex_state_words
 from emtool import examples
 from emtool.axioms import (
+    SubsetSearch,
     distinctness_partition,
     find_sync_word,
     is_generator_em,
     is_irreducible,
     is_unifilar,
     separating_word,
+    state_sync_words,
     strongly_connected_components,
     unifilar_transitions,
 )
@@ -101,6 +106,38 @@ def test_separating_word(even, np2):
     assert separating_word(np2, 0, 2) is None
 
 
+def _find_sync_word_reference(machine, max_len=None):
+    """The former search, kept as the reference for ``find_sync_word``:
+    breadth-first over frozenset subsets with each word carried in the
+    queue, no longer than ``max_len`` if given."""
+    n = machine.n_states
+    if n == 1:
+        return ()
+    delta = unifilar_transitions(machine)
+    start = frozenset(range(n))
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        subset, word = queue.popleft()
+        if max_len is not None and len(word) >= max_len:
+            continue
+        for x in range(machine.n_symbols):
+            nxt = frozenset(delta[s][x] for s in subset if delta[s][x] is not None)
+            if not nxt or nxt in seen:
+                continue
+            w = word + (x,)
+            if len(nxt) == 1:
+                return w
+            seen.add(nxt)
+            queue.append((nxt, w))
+    return None
+
+
+def test_sync_word_matches_reference(random_generator_machines, even, abc):
+    for m in [*random_generator_machines, even, abc]:
+        assert find_sync_word(m) == _find_sync_word_reference(m)
+
+
 def test_even_sync_word(even):
     assert find_sync_word(even) == (0,)
 
@@ -145,7 +182,8 @@ def test_sync_word_cerny_length_25(probs):
             s = delta[s][x]
         ends.add(s)
     assert len(ends) == 1
-    assert find_sync_word(m, max_len=24) is None
+    assert w == _find_sync_word_reference(m)
+    assert _find_sync_word_reference(m, max_len=24) is None
 
 
 def test_sync_word_synchronizes_belief(even, np2_minimal):
@@ -156,3 +194,42 @@ def test_sync_word_synchronizes_belief(even, np2_minimal):
         assert w is not None
         phi = belief_of_word(m, w)
         assert phi.max() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["even", "abc", "np2_minimal"])
+def test_state_sync_words_match_shortlex_enumeration(name, request):
+    m = request.getfixturevalue(name)
+    words, _ = state_sync_words(m)
+    assert words == shortlex_state_words(m, 12)
+    if name == "abc":
+        assert words == [None, None]
+
+
+def test_state_sync_words_on_random_machines(random_generator_machines):
+    for m in random_generator_machines:
+        words, n_subsets = state_sync_words(m)
+        assert words == shortlex_state_words(m, 12)
+        # every machine here is exact; the least word is the sync word
+        assert min(words, key=lambda w: (len(w), w)) == find_sync_word(m)
+        assert 1 <= n_subsets <= 2**m.n_states - 1
+
+
+def test_subset_search_stopped_early_holds_a_prefix(random_generator_machines):
+    for m in random_generator_machines[:40]:
+        succ = [[[j] if j is not None else [] for j in row] for row in unifilar_transitions(m)]
+        full = SubsetSearch(succ, m.n_symbols)
+        assert list(full) == list(range(len(full.subsets)))
+        assert len(full.delta) == len(full.subsets)
+        partial = SubsetSearch(succ, m.n_symbols)
+        for i in partial:
+            if i == len(full.subsets) // 2:
+                break
+        n = len(partial.subsets)
+        assert (partial.subsets, partial.parent) == (full.subsets[:n], full.parent[:n])
+        assert partial.delta == full.delta[: len(partial.delta)]
+        for i, subset in enumerate(full.subsets):
+            # the rebuilt word drives the all-states set to the subset
+            reached = set(range(m.n_states))
+            for x in full.word(i):
+                reached = {t for v in reached for t in succ[v][x]}
+            assert reached == subset

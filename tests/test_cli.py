@@ -246,6 +246,13 @@ def test_belief(capsys, even_file):
     assert "doubt,0" in out
 
 
+def test_belief_of_forbidden_word_exits_3(capsys, even_file):
+    code, out, err = run(capsys, "belief", even_file, "010")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == "error: symbol 0 has probability 0 under the current belief"
+
+
 def test_sync_profile_csv(capsys, even_file):
     code, out, _ = run(capsys, "sync-profile", even_file, "--horizon", "5",
                        "--chains", "50", "--seed", "2")
@@ -262,17 +269,46 @@ def test_reconstruct_analytic_cli(capsys, even_file):
     machine, _, _ = parse_machine(out)
     assert machine.n_states == 2
     assert "provenance: analytic" in err
-    assert "belief classes: 4" in err
+    assert "support subsets: 3" in err.splitlines()
+    assert "state words: 0 01" in err.splitlines()
 
 
-def test_reconstruct_analytic_truncated_atlas_report(capsys, even_file):
-    # at cap 1 the atlas holds only the stationary prior, which synchronizes
-    # to no state; the report says so instead of failing
+def test_reconstruct_analytic_cap_leaves_unifilar_state_words(capsys, even_file):
+    # the cap bounds only the nonunifilar belief closure
     code, out, err = run(capsys, "reconstruct", "analytic", even_file, "--cap", "1")
     assert code == 0
     machine, _, _ = parse_machine(out)
     assert machine.n_states == 2
-    assert "state words: (none) (none)" in err
+    assert "state words: 0 01" in err.splitlines()
+
+
+@pytest.mark.parametrize("params", [("0.1", "0.9"), ("0.3", "0.7")])
+def test_reconstruct_analytic_nonexact_state_words(capsys, tmp_path, params):
+    # abc is nonexact, as `axioms` reports: on abc 0.1 0.9 the belief after
+    # 1010101010 lies within 3e-10 of a vertex, but no word synchronizes
+    src = tmp_path / "abc.m"
+    save_machine(str(src), examples.abc(*map(float, params)))
+    code, _, err = run(capsys, "reconstruct", "analytic", str(src))
+    assert code == 0
+    assert "state words: (none) (none)" in err.splitlines()
+    code, out, _ = run(capsys, "axioms", str(src))
+    assert "synchronizing word: none found (nonexact)" in out.splitlines()
+
+
+def test_reconstruct_analytic_nonunifilar_report(capsys, tmp_path):
+    # state 0 of even(0.5) split in two copies that share its 0-edge
+    t0 = np.zeros((3, 3))
+    t0[0, 0] = t0[0, 1] = t0[1, 0] = t0[1, 1] = 0.25
+    t1 = np.zeros((3, 3))
+    t1[0, 2] = t1[1, 2] = 0.5
+    t1[2, 0] = 1.0
+    src = tmp_path / "split.m"
+    save_machine(str(src), LabeledMatrixMachine(3, Alphabet(("0", "1")), np.stack([t0, t1])))
+    code, out, err = run(capsys, "reconstruct", "analytic", str(src))
+    assert code == 0
+    assert parse_machine(out)[0].n_states == 2
+    assert "belief classes: 4 (2 transient)" in err.splitlines()
+    assert "state words: 0 01" in err.splitlines()
 
 
 def test_reconstruct_sns_explosion_maps_to_data_error(capsys, tmp_path):

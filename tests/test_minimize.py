@@ -3,7 +3,7 @@ import pytest
 
 from conftest import all_words
 from emtool import examples
-from emtool.errors import NotIrreducibleError, NotUnifilarError
+from emtool.errors import InconsistentBlockError, NotIrreducibleError, NotUnifilarError
 from emtool.isomorphism import are_isomorphic
 from emtool.machine import (
     Alphabet,
@@ -62,3 +62,16 @@ def test_quotient_output_is_generator(np2):
     from emtool.axioms import is_generator_em
 
     assert is_generator_em(minimize_unifilar(np2).target).is_generator_em
+
+
+def test_block_members_disagreeing_on_probabilities_raise():
+    # Within tolerance 0.3 states 1 and 2 both match state 0's next-symbol
+    # probabilities, so all three seed one block; only state 0 emits c, so
+    # refinement splits it off and leaves {1, 2}, whose members differ by 0.4.
+    a, b, c = np.zeros((3, 3, 3))
+    a[0, 1], b[0, 2], c[0, 0] = 0.5, 0.4, 0.1
+    a[1, 0], b[1, 0] = 0.3, 0.7
+    a[2, 0], b[2, 0] = 0.7, 0.3
+    m = LabeledMatrixMachine(3, Alphabet(("a", "b", "c")), np.stack([a, b, c]))
+    with pytest.raises(InconsistentBlockError, match="states 1 and 2 share a block"):
+        minimize_unifilar(m, tolerance=0.3)

@@ -27,20 +27,27 @@ def test_belief_matches_path_enumeration(machine):
     for length in range(0, 5):
         for w in all_words(machine.n_symbols, length):
             expected = brute_belief(machine, w)
+            if expected is None:
+                with pytest.raises(ImpossibleSymbolError):
+                    belief_of_word(machine, w)
+                continue
             got = belief_of_word(machine, w)
             assert np.abs(got - expected).max() <= 1e-12
 
 
 def test_belief_is_distribution(machine):
     for w in all_words(machine.n_symbols, 4):
+        if brute_belief(machine, w) is None:
+            continue  # forbidden: raises, as test_belief_matches_path_enumeration checks
         phi = belief_of_word(machine, w)
         assert np.all(phi >= 0.0)
         assert phi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_impossible_word_falls_back_to_stationary(even):
-    pi = stationary_distribution(even).pi
-    assert np.allclose(belief_of_word(even, (0, 1, 0)), pi, atol=1e-15)
+def test_impossible_word_raises(even):
+    # even(0.5) forbids 010: state 1, the only state after "01", cannot emit 0
+    with pytest.raises(ImpossibleSymbolError, match="symbol 0 has probability 0"):
+        belief_of_word(even, (0, 1, 0))
 
 
 def test_belief_update_raises_on_impossible_symbol(even):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import all_words
 from emtool import examples
-from emtool.axioms import is_generator_em
+from emtool.axioms import find_sync_word, is_generator_em, unifilar_transitions
 from emtool.errors import (
     ClassExplosionError,
     InsufficientDataError,
@@ -22,6 +22,7 @@ from emtool.machine import (
     word_prob_from_state,
     word_prob_stationary,
 )
+from emtool.minimize import minimize_unifilar
 from emtool.mixed_state import belief_update
 from emtool.reconstruct import (
     CONVEX_WEIGHT,
@@ -85,9 +86,63 @@ def test_analytic_preserves_word_probabilities(even):
 
 def test_analytic_atlas_diagnostics(even):
     diag = reconstruct_analytic(even).diagnostics
+    assert diag["n_classes"] == 2  # the quotient's states
+    assert diag["atlas_truncated"] is False
+    assert diag["n_subsets"] == 3  # {0, 1}, then {0} after "0", {1} after "01"
+    assert diag["state_words"] == [(0,), (0, 1)]
+    assert "atlas" not in diag
+
+
+def test_analytic_nonunifilar_diagnostics():
+    # the nonunifilar path keeps its belief-closure atlas and report
+    result = reconstruct_analytic(_split_even())
+    diag = result.diagnostics
     assert diag["n_classes"] == 4  # pi, post-"1", and the two vertices
     assert diag["n_transient"] == 2
+    assert diag["atlas_truncated"] is False
     assert diag["state_words"] == [(0,), (0, 1)]
+    assert len(diag["atlas"].classes) == 4
+    assert are_isomorphic(result.machine, examples.even(0.5), tolerance=1e-12)
+
+
+def _support_after(machine, word):
+    delta = unifilar_transitions(machine)
+    support = set(range(machine.n_states))
+    for x in word:
+        support = {delta[v][x] for v in support if delta[v][x] is not None}
+    return support
+
+
+def test_analytic_state_words_agree_with_exact_atlas_words(
+    random_generator_machines, even, abc, np2, np2_minimal
+):
+    # The closure's words, where it is not truncated and its word's support
+    # lies in the state's block (it merged no merely close belief), are the
+    # shortlex-least synchronizing words, as the state words are.
+    tol, checked = 1e-9, 0
+    for machine in [*random_generator_machines, even, abc, np2, np2_minimal]:
+        result = reconstruct_analytic(machine, tol=tol)
+        words = result.diagnostics["state_words"]
+        quotient = minimize_unifilar(machine, tol)
+        found = [w for w in words if w is not None]
+        assert min(found, key=lambda w: (len(w), w), default=None) == find_sync_word(
+            quotient.target
+        )
+        pi = stationary_distribution(machine).pi
+        basis = future_feature_basis(machine, 2 * machine.n_states + 2)
+        classes, truncated, index = _explore_beliefs(machine, pi, basis, None, tol, 4096, False)
+        if truncated:
+            continue
+        for c, block in enumerate(quotient.partition.blocks):
+            idx, dists = index.candidates(basis[block[0]])
+            hits = [classes[h].word for h, d in zip(idx, dists.tolist()) if d <= tol]
+            if not hits:
+                continue
+            atlas_word = min(hits, key=lambda w: (len(w), w))
+            if _support_after(machine, atlas_word) <= set(block):
+                assert words[c] == atlas_word
+                checked += 1
+    assert checked >= 725
 
 
 def test_analytic_requires_irreducible():

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from emtool import examples
-from emtool.axioms import refine_partition
+from emtool.axioms import SubsetSearch, refine_partition
 from emtool.errors import NotIrreducibleShiftError
 from emtool.machine import Alphabet, word_prob_stationary
 from emtool.sofic import (
     Dfa,
     LabeledGraph,
-    _subset_dfa,
     fischer_cover,
     krieger_states,
     label_isomorphic,
@@ -165,11 +164,51 @@ def test_krieger_drops_finite_time_transient_start():
     assert cover.states == (1,)
 
 
+def _subset_dfa_reference(graph):
+    """Subset construction from the all-vertices start set, numbering states
+    breadth-first in symbol order; the empty subset is left implicit (the
+    former implementation, kept as the reference for the table of the
+    shared ``SubsetSearch``)."""
+    k = len(graph.alphabet.symbols)
+    succ = [[set() for _ in range(k)] for _ in range(graph.n_vertices)]
+    for i, x, j in graph.edges:
+        succ[i][x].add(j)
+    start = frozenset(range(graph.n_vertices))
+    index = {start: 0}
+    delta = []
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        row = []
+        for x in range(k):
+            nxt = frozenset().union(*(succ[v][x] for v in cur)) if cur else frozenset()
+            if not nxt:
+                row.append(-1)
+                continue
+            if nxt not in index:
+                index[nxt] = len(index)
+                queue.append(nxt)
+            row.append(index[nxt])
+        delta.append(row)
+    return delta
+
+
+def _subset_search_table(graph):
+    k = len(graph.alphabet.symbols)
+    succ = [[[] for _ in range(k)] for _ in range(graph.n_vertices)]
+    for i, x, j in graph.edges:
+        succ[i][x].append(j)
+    search = SubsetSearch(succ, k)
+    for _ in search:
+        pass
+    return search.delta
+
+
 def _reference_minimal_dfa(graph):
     """Refinement of the subset DFA, then an explicit breadth-first
     renumbering of the quotient from the start block (the former
     implementation, kept as the reference for ``minimal_dfa``)."""
-    delta = _subset_dfa(graph)
+    delta = _subset_search_table(graph)
     k = len(graph.alphabet.symbols)
     block = refine_partition(np.array(delta, dtype=np.int64), np.zeros(len(delta))).tolist()
     b_delta = [[-1] * k for _ in range(len(set(block)))]
@@ -204,11 +243,21 @@ def _random_graph(rng):
     return LabeledGraph(n, alphabet, edges)
 
 
-def test_minimal_dfa_matches_reference_renumbering(even, abc, np2, sns):
+def _test_graphs(*machines):
+    """The machines' support graphs and 300 random graphs, each raw and
+    trimmed."""
     rng = np.random.default_rng(20261018)
-    graphs = [strip_probabilities(m) for m in (even, abc, np2, sns)]
+    graphs = [strip_probabilities(m) for m in machines]
     graphs += [_random_graph(rng) for _ in range(300)]
-    for g in graphs:
-        for h in (g, trim_essential(g)):
-            dfa = minimal_dfa(h)
-            assert (dfa.n_states, dfa.delta, dfa.start) == _reference_minimal_dfa(h)
+    return [h for g in graphs for h in (g, trim_essential(g))]
+
+
+def test_minimal_dfa_matches_reference_renumbering(even, abc, np2, sns):
+    for h in _test_graphs(even, abc, np2, sns):
+        dfa = minimal_dfa(h)
+        assert (dfa.n_states, dfa.delta, dfa.start) == _reference_minimal_dfa(h)
+
+
+def test_subset_search_table_matches_subset_construction(even, abc, np2, sns):
+    for h in _test_graphs(even, abc, np2, sns):
+        assert _subset_search_table(h) == _subset_dfa_reference(h)
