@@ -130,15 +130,21 @@ def refine_partition(delta: np.ndarray, labels) -> np.ndarray:
     undefined or both lead into the same block.  Moore rounds split every
     block by the signature (block, successor blocks) until the block count
     stops growing, at most n - 1 times (Hopcroft 1971 orders the splits to
-    reach the same coarsest congruence in O(k n log n)).  Returns the block
-    index of each state, numbered in signature order.
+    reach the same coarsest congruence in O(k n log n)).  A round ranks the
+    signatures one column at a time: the rank so far and the next
+    successor block form the 1-D key ``rank * (n + 1) + (succ + 1)``, and
+    the dense rank of that key is the rank of the longer prefix, so the
+    last column's rank orders the signatures lexicographically.  Returns
+    the block index of each state, numbered in signature order.
     """
     delta = np.asarray(delta, dtype=np.int64)
+    base = len(delta) + 1
     block = np.unique(np.asarray(labels), return_inverse=True)[1].reshape(-1)
     while True:
         succ = np.where(delta >= 0, block[delta], -1)
-        new = np.unique(np.column_stack([block, succ]), axis=0, return_inverse=True)[1]
-        new = new.reshape(-1)
+        new = block
+        for column in succ.T:
+            new = np.unique(new * base + (column + 1), return_inverse=True)[1]
         if new.max() == block.max():
             return new
         block = new
@@ -182,16 +188,17 @@ def distinctness_partition(
     """
     require_unifilar(machine)
     probs = next_symbol_probs(machine)
-    seed: list[int] = []
-    reps: list[int] = []
-    for i in range(machine.n_states):
-        for b, r in enumerate(reps):
-            if np.abs(probs[i] - probs[r]).max() <= tolerance:
-                seed.append(b)
-                break
+    seed = np.empty(machine.n_states, dtype=np.int64)
+    reps = np.empty_like(probs)  # rows [0, n_reps) hold the representatives' vectors
+    n_reps = 0
+    for i, row in enumerate(probs):
+        match = np.flatnonzero(np.abs(reps[:n_reps] - row).max(axis=1) <= tolerance)
+        if match.size:
+            seed[i] = match[0]
         else:
-            seed.append(len(reps))
-            reps.append(i)
+            seed[i] = n_reps
+            reps[n_reps] = row
+            n_reps += 1
     blocks: dict[int, list[int]] = {}
     for s, b in enumerate(refine_partition(machine._delta, seed).tolist()):
         blocks.setdefault(b, []).append(s)

@@ -9,6 +9,7 @@ not isomorphic, axiom failure), 2 usage error, 3 data or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -299,7 +300,10 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` reads
+    it without changing it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="emtool",
         description="Edge-emitting hidden Markov machines: axioms, minimization,"
@@ -400,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (EmtoolError, ValueError, OSError) as exc:

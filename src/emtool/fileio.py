@@ -9,9 +9,10 @@ Machine files::
     edge 0 1 0.5 1
     edge 1 1 1 0
 
-Probabilities may be decimal literals or exact rationals ``a/b``; both are
-converted at full double precision.  Serialization writes 17 significant
-digits so parse(serialize(m)) reproduces probabilities bitwise.
+Probabilities may be decimal literals, read as correctly rounded doubles,
+or exact rationals ``a/b``, rounded once to the nearest double.
+Serialization writes 17 significant digits so parse(serialize(m))
+reproduces probabilities bitwise.
 
 Probability-free labeled graphs reuse the format with every probability
 written as 1; an optional ``start <i>`` line marks a DFA start state.
@@ -19,6 +20,7 @@ written as 1; an optional ``start <i>`` line marks a DFA start state.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,10 +30,17 @@ from .machine import Alphabet, LabeledMatrixMachine
 
 
 def _parse_prob(token: str) -> float:
+    """A decimal literal is read by ``float``, which rounds correctly; ``a/b``
+    is read exactly and rounded once.  A literal whose double is not finite
+    (``inf``, ``nan``, or beyond the double range, as ``1e500``) is
+    rejected; one too small for a double reads as 0."""
     try:
-        return float(Fraction(token))
-    except (ValueError, ZeroDivisionError):
+        p = float(Fraction(token)) if "/" in token else float(token)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        p = math.nan
+    if not math.isfinite(p):
         raise MachineFormatError(f"bad probability literal {token!r}")
+    return p
 
 
 def parse_machine(text: str):

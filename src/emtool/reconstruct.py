@@ -157,13 +157,12 @@ class _KeyIndex:
         return idx[j] if dists[j] <= self.tol else None
 
 
-def _explore_beliefs(machine, pi, basis, depth, tol, cap, raise_on_cap):
+def _explore_beliefs(machine, pi, basis, depth, tol, cap):
     """Breadth-first closure of beliefs reachable from ``pi``.
 
-    Returns ``(classes, truncated, index)``, ``index`` holding the class
-    keys; when the class count would exceed ``cap`` the closure either
-    raises ClassExplosionError or stops and reports truncation, depending on
-    ``raise_on_cap``.  Each new belief is compared only with the classes in
+    Returns ``(classes, index)``, ``index`` holding the class keys; when the
+    class count would exceed ``cap`` the closure raises
+    ClassExplosionError.  Each new belief is compared only with the classes in
     its own and the two neighbouring buckets of ``index``, so a lookup costs
     the size of those buckets, not the class count.
     """
@@ -190,18 +189,16 @@ def _explore_beliefs(machine, pi, basis, depth, tol, cap, raise_on_cap):
                 cls.successors[x] = (p, hit)
                 continue
             if len(classes) >= cap:
-                if raise_on_cap:
-                    raise ClassExplosionError(
-                        f"belief-class closure exceeded cap {cap}; the process"
-                        " is not finitely characterized at this resolution",
-                        n_classes=len(classes) + 1,
-                    )
-                return classes, True, index
+                raise ClassExplosionError(
+                    f"belief-class closure exceeded cap {cap}; the process"
+                    " is not finitely characterized at this resolution",
+                    n_classes=len(classes) + 1,
+                )
             index.add(key)
             classes.append(BeliefClass(rep=nxt, key=key, word=cls.word + (x,)))
             cls.successors[x] = (p, len(classes) - 1)
             queue.append(len(classes) - 1)
-    return classes, False, index
+    return classes, index
 
 
 def _recurrent_classes(classes):
@@ -263,12 +260,12 @@ def reconstruct_analytic(
         for i, c in enumerate(quotient.class_of):
             mu[c] += pi[i]
         state_words, n_subsets = state_sync_words(result)
-        diagnostics = {"n_classes": result.n_states, "atlas_truncated": False, "n_subsets": n_subsets}
+        diagnostics = {"n_classes": result.n_states, "n_subsets": n_subsets}
     else:
         if l_fut is None:
             l_fut = 2 * machine.n_states + 2
         basis = future_feature_basis(machine, l_fut)
-        classes, truncated, _ = _explore_beliefs(machine, pi, basis, depth, tol, cap, True)
+        classes, _ = _explore_beliefs(machine, pi, basis, depth, tol, cap)
         recurrent = _recurrent_classes(classes)
         index = {v: i for i, v in enumerate(recurrent)}
         m = len(recurrent)
@@ -281,13 +278,14 @@ def reconstruct_analytic(
         mu = stationary_distribution(result).pi
         diagnostics = {
             "atlas": BeliefAtlas(classes=classes, basis=basis),
-            "atlas_truncated": truncated,
             "n_classes": len(classes),
             "n_transient": len(classes) - m,
             "depth": depth,
             "l_fut": l_fut,
         }
-    diagnostics.update(state_words=state_words, tol=tol)
+    # the closure raises at its cap rather than stopping short, so no atlas
+    # is ever truncated; the key stays for readers of the diagnostics
+    diagnostics.update(state_words=state_words, tol=tol, atlas_truncated=False)
     return ReconstructedMachine(
         machine=result, class_probability=mu, provenance="analytic", diagnostics=diagnostics
     )

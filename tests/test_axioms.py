@@ -12,6 +12,8 @@ from emtool.axioms import (
     is_generator_em,
     is_irreducible,
     is_unifilar,
+    next_symbol_probs,
+    refine_partition,
     separating_word,
     state_sync_words,
     strongly_connected_components,
@@ -94,6 +96,123 @@ def test_distinctness_partition_np2(np2):
 
 def test_distinctness_partition_even(even):
     assert distinctness_partition(even).is_discrete()
+
+
+def _refine_partition_rows(delta, labels):
+    """Reference Moore rounds: rank the (block, successor blocks) rows with
+    one ``np.unique(axis=0)`` per round."""
+    delta = np.asarray(delta, dtype=np.int64)
+    block = np.unique(np.asarray(labels), return_inverse=True)[1].reshape(-1)
+    while True:
+        succ = np.where(delta >= 0, block[delta], -1)
+        new = np.unique(np.column_stack([block, succ]), axis=0, return_inverse=True)[1]
+        new = new.reshape(-1)
+        if new.max() == block.max():
+            return new
+        block = new
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_refine_partition_matches_row_ranking(k):
+    rng = np.random.default_rng(1400 + k)
+    for trial in range(40):
+        n = int(rng.integers(1, 501))
+        # a small target pool makes many states alike, so rounds split slowly
+        pool = int(rng.integers(1, n + 1))
+        delta = rng.integers(0, pool, size=(n, k))
+        delta[rng.random((n, k)) < rng.choice([0.0, 0.1, 0.5])] = -1
+        seeds = [
+            np.zeros(n),
+            rng.integers(0, 3, size=n) * 7 - 5,  # non-contiguous, negative
+            rng.choice([0.25, -1.5, 3.0], size=n),  # float labels
+            rng.permutation(n),  # already discrete
+        ]
+        for labels in seeds:
+            want = _refine_partition_rows(delta, labels)
+            got = refine_partition(delta, labels)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (trial, n, k)
+
+
+def test_refine_partition_slow_chain():
+    # a path of n states that splits off one state per round: n - 1 rounds
+    n = 300
+    delta = np.append(np.arange(1, n), -1).reshape(n, 1)
+    block = refine_partition(delta, np.zeros(n))
+    assert np.array_equal(block, _refine_partition_rows(delta, np.zeros(n)))
+    assert len(np.unique(block)) == n
+
+
+def _distinctness_partition_loop(machine, tolerance=1e-9):
+    """Reference seeding: each state is compared with the representatives
+    one at a time and joins the first within ``tolerance``."""
+    probs = next_symbol_probs(machine)
+    seed, reps = [], []
+    for i in range(machine.n_states):
+        for b, r in enumerate(reps):
+            if np.abs(probs[i] - probs[r]).max() <= tolerance:
+                seed.append(b)
+                break
+        else:
+            seed.append(len(reps))
+            reps.append(i)
+    blocks = {}
+    for s, b in enumerate(_refine_partition_rows(machine._delta, seed).tolist()):
+        blocks.setdefault(b, []).append(s)
+    return list(blocks.values())
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2, 0.1, 0.3])
+def test_distinctness_partition_matches_loop_on_random_machines(random_generator_machines, tol):
+    merged = 0
+    for machine in random_generator_machines:
+        blocks = distinctness_partition(machine, tol).blocks
+        assert blocks == _distinctness_partition_loop(machine, tol)
+        merged += len(blocks) < machine.n_states
+    if tol >= 0.1:  # loose tolerances seed shared blocks, so seeding is exercised
+        assert merged > 0
+
+
+def _emitter(ps):
+    """Unifilar machine whose state i emits "0" with probability ps[i] and
+    "1" otherwise, every edge going to state 0: all successors share a
+    block, so the partition is the seed partition."""
+    n = len(ps)
+    mats = np.zeros((2, n, n))
+    mats[0, :, 0] = ps
+    mats[1, :, 0] = 1.0 - np.asarray(ps)
+    return LabeledMatrixMachine(n, Alphabet(("0", "1")), mats)
+
+
+def test_distinctness_seed_first_representative_wins():
+    tol = 1e-3
+    # state 2 is within tol of representatives 0 and 1, which differ by more
+    machine = _emitter([0.5, 0.5 + 1.5 * tol, 0.5 + 0.75 * tol])
+    blocks = distinctness_partition(machine, tol).blocks
+    assert blocks == [[0, 2], [1]]
+    assert blocks == _distinctness_partition_loop(machine, tol)
+
+
+def test_distinctness_seed_tolerance_is_inclusive():
+    # the vectors (0.5, 0.5) and (0.75, 0.25) differ by exactly 0.25
+    machine = _emitter([0.5, 0.75])
+    assert distinctness_partition(machine, 0.25).blocks == [[0, 1]]
+    assert distinctness_partition(machine, np.nextafter(0.25, 0.0)).blocks == [[0], [1]]
+
+
+@pytest.mark.parametrize(
+    "ps, blocks",
+    [
+        # a ~ b and b ~ c but not a ~ c: a represents, b joins it, c does not
+        ([0.5, 0.5 + 0.75e-3, 0.5 + 1.5e-3], [[0, 1], [2]]),
+        # b first: it represents, and both a and c lie within tol of it
+        ([0.5 + 0.75e-3, 0.5, 0.5 + 1.5e-3], [[0, 1, 2]]),
+    ],
+)
+def test_distinctness_seed_is_not_transitive(ps, blocks):
+    machine = _emitter(ps)
+    assert distinctness_partition(machine, 1e-3).blocks == blocks
+    assert _distinctness_partition_loop(machine, 1e-3) == blocks
 
 
 def test_separating_word(even, np2):

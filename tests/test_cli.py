@@ -1,4 +1,6 @@
+import contextlib
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 
 import emtool
 from emtool import examples
-from emtool.cli import _load_sample, main
+from emtool.cli import _load_sample, build_parser, main
 from emtool.errors import EmtoolError
 from emtool.fileio import parse_machine, save_machine, serialize_machine
 from emtool.machine import Alphabet, LabeledMatrixMachine
@@ -295,15 +297,19 @@ def test_reconstruct_analytic_nonexact_state_words(capsys, tmp_path, params):
     assert "synchronizing word: none found (nonexact)" in out.splitlines()
 
 
-def test_reconstruct_analytic_nonunifilar_report(capsys, tmp_path):
+def _split_even_machine():
     # state 0 of even(0.5) split in two copies that share its 0-edge
     t0 = np.zeros((3, 3))
     t0[0, 0] = t0[0, 1] = t0[1, 0] = t0[1, 1] = 0.25
     t1 = np.zeros((3, 3))
     t1[0, 2] = t1[1, 2] = 0.5
     t1[2, 0] = 1.0
+    return LabeledMatrixMachine(3, Alphabet(("0", "1")), np.stack([t0, t1]))
+
+
+def test_reconstruct_analytic_nonunifilar_report(capsys, tmp_path):
     src = tmp_path / "split.m"
-    save_machine(str(src), LabeledMatrixMachine(3, Alphabet(("0", "1")), np.stack([t0, t1])))
+    save_machine(str(src), _split_even_machine())
     code, out, err = run(capsys, "reconstruct", "analytic", str(src))
     assert code == 0
     assert parse_machine(out)[0].n_states == 2
@@ -361,10 +367,68 @@ def test_missing_file_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("prob", ["1e500", "1e999999999", "nan"])
+def test_out_of_range_probability_exits_3(capsys, tmp_path, prob):
+    path = tmp_path / "big.m"
+    path.write_text(f"states 1\nalphabet a\nedge 0 a {prob} 0\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: bad probability literal {prob!r}\n"
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["sample", "x.m"])  # missing required --len/--seed
     assert excinfo.value.code == 2
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path):
+    # one process, one parser: every call prints and exits as a cold run does
+    assert build_parser() is build_parser()
+    paths = {}
+    for name, machine in [("even", examples.even(0.5)), ("sns", examples.sns(0.5, 0.5)),
+                          ("split", _split_even_machine())]:
+        paths[name] = str(tmp_path / f"{name}.m")
+        save_machine(paths[name], machine)
+    paths["big"] = str(tmp_path / "big.m")
+    Path(paths["big"]).write_text("states 1\nalphabet a\nedge 0 a 1e500 0\n")
+    paths["sample"] = str(tmp_path / "s.txt")
+    Path(paths["sample"]).write_text(
+        "".join(f"{x}\n" for x in sample_path(examples.even(0.5), "stationary", 20000, 3).symbols)
+    )
+    calls = [
+        (["reconstruct", "analytic", "{split}", "--lfut", "7", "--cap", "64", "--tol", "1e-6"], 0),
+        # empirical after analytic: its own --lfut default applies
+        (["reconstruct", "empirical", "{sample}", "--lctx", "5", "--min-count", "200"], 0),
+        (["reconstruct", "analytic", "{split}"], 0),
+        (["sample", "{even}", "--len", "5"], 2),  # no --seed
+        (["validate", "{big}"], 3),
+        (["reconstruct", "analytic", "{sns}", "--cap", "20"], 3),
+        (["frobnicate"], 2),
+        (["axioms", "{even}"], 0),
+        (["reconstruct", "analytic", "{sns}"], 3),  # the default cap again
+        (["sync-profile", "{even}", "--horizon", "3", "--chains", "50", "--seed", "2"], 0),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(emtool.__file__).resolve().parents[1])}
+    for argv, code in calls:
+        argv = [a.format(**paths) for a in argv]
+        warm = _main_in_process(argv)
+        cold = subprocess.run([sys.executable, "-m", "emtool.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert warm == (cold.returncode, cold.stdout, cold.stderr), argv
+        assert warm[0] == code, argv
+    assert build_parser() is build_parser()
 
 
 def test_failed_stationary_solve_exits_3(capsys, monkeypatch, even_file):

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from emtool import examples
+from emtool import examples, fileio
 from emtool.errors import MachineFormatError
 from emtool.fileio import load_machine, parse_machine, save_machine, serialize_machine
 
@@ -45,6 +47,57 @@ def test_fraction_parsing_is_exact():
     machine, _, _ = parse_machine(text)
     assert machine.matrices[0, 0, 0] == 1 / 3
     assert machine.matrices[1, 0, 0] == 2 / 3
+
+
+def _one_edge(prob):
+    return f"states 1\nalphabet a\nedge 0 a {prob} 0\n"
+
+
+def test_decimal_literals_round_like_exact_rationals():
+    # float() rounds a decimal literal correctly, as the exact rational
+    # rounded once does, subnormals and halfway cases included
+    rng = np.random.default_rng(14)
+    tokens = ["0.1", "1/3", ".5", "5.", "1e-3", "2.5E-1", "+0.25", "1_000e-4", "0.3333333333333333",
+              "4.9406564584124654e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+              "1e-400", "0.99999999999999999", "9007199254740993e-16"]
+    tokens += [repr(float(v)) for v in rng.random(200)]
+    tokens += [f"{v:.25e}" for v in rng.random(200) * 10.0 ** rng.integers(-320, 1, 200)]
+    for token in tokens:
+        p = parse_machine(_one_edge(token))[0].matrices[0, 0, 0]
+        assert np.float64(p).tobytes() == np.float64(float(Fraction(token))).tobytes(), token
+
+
+def test_decimal_literals_build_no_rational(monkeypatch):
+    # 1e-999999999 as a rational has a 10**999999999 denominator
+    built = []
+
+    def spy(token):
+        built.append(token)
+        if "/" not in token:
+            raise AssertionError(f"rational built for {token!r}")
+        return Fraction(token)
+
+    monkeypatch.setattr(fileio, "Fraction", spy)
+    for token in ("0.5", "1e-999999999", "1e999999999", "2/3"):
+        try:
+            parse_machine(_one_edge(token))
+        except MachineFormatError:
+            pass
+    assert built == ["2/3"]
+
+
+@pytest.mark.parametrize(
+    "token", ["1e500", "-1e500", "1e999999999", "inf", "-inf", "nan", "Infinity", "1" + "0" * 400 + "/1"]
+)
+def test_nonfinite_or_out_of_range_literal_rejected(token):
+    with pytest.raises(MachineFormatError, match="bad probability literal"):
+        parse_machine(_one_edge(token))
+
+
+def test_underflowing_literal_reads_as_zero():
+    machine, warnings, _ = parse_machine(_one_edge("1e-999999999"))
+    assert warnings == ["line 3: zero-probability edge dropped"]
+    assert machine.matrices[0, 0, 0] == 0.0
 
 
 def test_zero_probability_edge_dropped_with_warning():
