@@ -76,7 +76,10 @@ def parse_machine(text: str):
         elif kind == "start":
             if len(fields) != 2:
                 raise MachineFormatError(f"line {lineno}: expected 'start <i>'")
-            start = int(fields[1])
+            try:
+                start, start_line = int(fields[1]), lineno
+            except ValueError:
+                raise MachineFormatError(f"line {lineno}: bad start state {fields[1]!r}")
         elif kind == "edge":
             if n_states is None or alphabet is None:
                 raise MachineFormatError(
@@ -112,6 +115,8 @@ def parse_machine(text: str):
             raise MachineFormatError(f"line {lineno}: unknown directive {kind!r}")
     if n_states is None or alphabet is None:
         raise MachineFormatError("missing 'states' or 'alphabet' line")
+    if start is not None and not 0 <= start < n_states:
+        raise MachineFormatError(f"line {start_line}: start state {start} out of range")
     if matrices is None:
         matrices = np.zeros((len(alphabet), n_states, n_states))
     machine = LabeledMatrixMachine(n_states=n_states, alphabet=alphabet, matrices=matrices)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,12 +141,9 @@ class LabeledMatrixMachine:
         return _solve_stationary(self)
 
     @cached_property
-    def _edge_tables(self) -> list[tuple]:
-        """Per state, ``(cum, total, last, symbols, targets)``: the cumulative
-        outgoing edge probabilities, their total ``cum[-1]``, the last edge
-        index, and the edges' symbols and targets, in file order
-        (symbol-major, then target).  Plain Python lists and floats, for
-        ``sample_path``'s scalar loop."""
+    def _edge_tables(self) -> EdgeTables:
+        """``sample_path``'s tables of each state's outgoing edges in file
+        order (symbol-major, then target); see ``EdgeTables``."""
         rows = []
         for i in range(self.n_states):
             xs, js = np.nonzero(self.matrices[:, i, :] > 0.0)
@@ -153,12 +151,41 @@ class LabeledMatrixMachine:
                 raise ValueError(f"state {i} has no outgoing edges")
             cum = np.cumsum(self.matrices[xs, i, js]).tolist()
             rows.append((cum, cum[-1], len(cum) - 1, xs.tolist(), js.tolist()))
-        return rows
+        width = max(len(row[0]) for row in rows)
+        thresholds = np.full((self.n_states, width - 1), np.inf)
+        symbols = np.zeros((self.n_states, width), dtype=np.int64)
+        targets = np.zeros((self.n_states, width), dtype=np.int64)
+        for i, (cum, _, last, xs, js) in enumerate(rows):
+            thresholds[i, :last] = cum[:last]
+            symbols[i, : last + 1] = xs
+            targets[i, : last + 1] = js
+        totals = np.array([row[1] for row in rows])
+        return EdgeTables(rows, thresholds, totals, symbols, targets)
 
     @cached_property
     def _stationary_cdf(self) -> list[float]:
         """``choice_cdf`` of pi, for ``sample_path``'s stationary start."""
         return choice_cdf(self._stationary.pi)
+
+
+class EdgeTables(NamedTuple):
+    """The sampler's tables of each state's outgoing edges.
+
+    ``rows[i]`` is ``(cum, total, last, symbols, targets)`` in plain Python
+    lists and floats, for the scalar loop: the cumulative edge
+    probabilities, their total ``cum[-1]``, the last edge index, and the
+    edges' symbols and targets.  The arrays hold the same for the block
+    walk, padded to the widest out-degree W: ``thresholds`` (N, W - 1) is
+    ``cum[:last]`` followed by +inf, ``totals`` (N,) the totals, and
+    ``symbols`` and ``targets`` (N, W) the edges followed by zeros.  The
+    count of a row's thresholds that are ``<= u * total`` is then the edge
+    ``bisect_right(cum, u * total, 0, last)`` picks."""
+
+    rows: list[tuple]
+    thresholds: np.ndarray
+    totals: np.ndarray
+    symbols: np.ndarray
+    targets: np.ndarray
 
 
 @dataclass

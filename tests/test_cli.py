@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -116,6 +117,25 @@ def test_sample_determinism(capsys, tmp_path, even_file):
     run(capsys, "sample", even_file, "--len", "100", "--seed", "3", "--out", str(a))
     run(capsys, "sample", even_file, "--len", "100", "--seed", "3", "--out", str(b))
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize(
+    "name, params, digest",
+    [
+        ("even", (0.5,), "c7ecb3608015b113d7ec31a2ea41ba5b80d172b3dda2d67e933c9ae2427f3976"),
+        ("abc", (0.4, 0.6), "e6bdd271218024c96f18e562600626182b4b504ea20ae78317780cc080510272"),
+    ],
+    ids=["even", "abc"],
+)
+def test_sample_file_digest_pinned(capsys, tmp_path, name, params, digest):
+    # a seeded sample across several blocks of draws, pinned to the bytes the
+    # scalar per-step loop wrote before the block walk existed
+    path, sample = tmp_path / f"{name}.m", tmp_path / "s.txt"
+    save_machine(str(path), examples.build(name, params))
+    code, _, _ = run(capsys, "sample", str(path), "--len", str(3 * (1 << 16) + 7), "--seed", "11",
+                     "--out", str(sample))
+    assert code == 0
+    assert hashlib.sha256(sample.read_bytes()).hexdigest() == digest
 
 
 def test_sample_writer_multichar_symbols(capsys, tmp_path):
@@ -456,6 +476,10 @@ def test_axioms_needs_no_stationary_solve(capsys, monkeypatch, even_file):
          "error: horizon must be nonnegative, got -1"),
         (["sample", "{m}", "--len", "-5", "--seed", "1"],
          "error: length must be nonnegative, got -5"),
+        (["sample", "{m}", "--len", "5", "--seed", "1", "--start", "5"],
+         "error: start state 5 out of range for 2 states"),
+        (["sample", "{m}", "--len", "5", "--seed", "1", "--start=-1"],
+         "error: start state -1 out of range for 2 states"),
     ],
 )
 def test_bad_sizes_exit_3_with_plain_message(capsys, even_file, argv, message):

@@ -127,6 +127,9 @@ def test_start_line_round_trip():
         ("states 2\nalphabet 0\nfrobnicate\n", "unknown directive"),
         ("states 0\nalphabet 0\n", "N >= 1"),
         ("# nothing\n", "missing"),
+        ("states 2\nalphabet 0\nstart 7\nedge 0 0 1 1\n", "line 3: start state 7 out of range"),
+        ("start -1\nstates 2\nalphabet 0\n", "line 1: start state -1 out of range"),
+        ("states 2\nalphabet 0\nstart x\n", "line 3: bad start state 'x'"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,11 @@ from emtool.errors import NotIrreducibleError
 from emtool.machine import Alphabet, LabeledMatrixMachine, word_prob_stationary
 from emtool.simulate import (
     BLOCK,
+    BLOCK_MAX_SLOTS,
+    BLOCK_MIN_LEN,
     _resolve_start,
+    _walk_blocks,
+    _walk_scalar,
     check_edge_consistency,
     empirical_word_probs,
     sample_path,
@@ -56,6 +62,9 @@ def test_bad_start_rejected(even):
         sample_path(even, "typo", 10, seed=1)
     with pytest.raises(ValueError, match="probability vector"):
         sample_path(even, [np.nan, 1.0], 10, seed=1)
+    for state in (2, 5, -1):
+        with pytest.raises(ValueError, match=f"start state {state} out of range for 2 states"):
+            sample_path(even, state, 10, seed=1)
 
 
 def test_stationary_start_requires_irreducible():
@@ -129,30 +138,96 @@ def _dense_random_machine(n=5, k=3, seed=4):
     return LabeledMatrixMachine(n, Alphabet(tuple("abc"[:k])), matrices)
 
 
-@pytest.mark.parametrize("name", ["even", "abc", "np2", "np2_minimal", "sns", "dense"])
+def _cycle_machine():
+    """Three states with one outgoing edge each: the block walk's tables
+    have no thresholds."""
+    matrices = np.zeros((1, 3, 3))
+    matrices[0, [0, 1, 2], [1, 2, 0]] = 1.0
+    return LabeledMatrixMachine(3, Alphabet(("a",)), matrices)
+
+
+# Selection constants that force each of sample_path's two walks; "selected"
+# keeps the module's own.
+WALKS = {
+    "selected": {},
+    "scalar": {"BLOCK_MIN_LEN": math.inf},
+    "blocks": {"BLOCK_MIN_LEN": 0, "BLOCK_MAX_SLOTS": math.inf},
+}
+
+
+def _sample_each_walk(monkeypatch, machine, start, length, seed, chain):
+    runs = {}
+    for walk, constants in WALKS.items():
+        with monkeypatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(f"emtool.simulate.{name}", value)
+            runs[walk] = sample_path(machine, start, length, seed=seed, chain=chain)
+    return runs.items()
+
+
+def _machine(request, name):
+    if name == "dense":
+        return _dense_random_machine()
+    if name == "cycle":
+        return _cycle_machine()
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ["even", "abc", "np2", "np2_minimal", "sns", "dense", "cycle"])
 def test_sample_path_matches_numpy_reference(request, monkeypatch, name):
-    machine = _dense_random_machine() if name == "dense" else request.getfixturevalue(name)
+    machine = _machine(request, name)
+    # dense is the one machine past the block walk's edge limit
+    assert (machine._edge_tables.targets.size <= BLOCK_MAX_SLOTS) == (name != "dense")
     n = machine.n_states
     starts = ["stationary", n - 1, np.arange(1, n + 1) / (n * (n + 1) / 2)]
     block = 64  # a small block, so that every path below crosses its edges
     monkeypatch.setattr("emtool.simulate.BLOCK", block)
+    lengths = (0, 1, 5000, block - 1, block, block + 1, 2 * block + 3, BLOCK_MIN_LEN - 1,
+               BLOCK_MIN_LEN)
     for start in starts:
-        for length in (0, 1, 5000, block - 1, block, block + 1, 2 * block + 3):
+        for length in lengths:
             for chain in range(4):
-                run = sample_path(machine, start, length, seed=17, chain=chain)
                 symbols, states = _reference_sample_path(machine, start, length, 17, chain)
-                assert run.symbols.dtype == run.states.dtype == np.int64
-                assert np.array_equal(run.symbols, symbols)
-                assert np.array_equal(run.states, states)
+                for walk, run in _sample_each_walk(monkeypatch, machine, start, length, 17, chain):
+                    assert run.symbols.dtype == run.states.dtype == np.int64, walk
+                    assert np.array_equal(run.symbols, symbols), walk
+                    assert np.array_equal(run.states, states), walk
 
 
-def test_sample_path_blocks_match_numpy_reference():
+def test_sample_path_blocks_match_numpy_reference(request, monkeypatch):
     # lengths around the block size of the uniform draws; the reference path
     # of one length is a prefix of that of any longer length on one stream
-    machine = _dense_random_machine()
     longest = 2 * BLOCK + 3
-    symbols, states = _reference_sample_path(machine, "stationary", longest, 17, 1)
-    for length in (BLOCK - 1, BLOCK, BLOCK + 1, longest):
-        run = sample_path(machine, "stationary", length, seed=17, chain=1)
-        assert np.array_equal(run.symbols, symbols[:length])
-        assert np.array_equal(run.states, states[: length + 1])
+    for name in ("abc", "dense"):
+        machine = _machine(request, name)
+        symbols, states = _reference_sample_path(machine, "stationary", longest, 17, 1)
+        for length in (BLOCK - 1, BLOCK, BLOCK + 1, longest):
+            for walk, run in _sample_each_walk(monkeypatch, machine, "stationary", length, 17, 1):
+                assert np.array_equal(run.symbols, symbols[:length]), (name, walk)
+                assert np.array_equal(run.states, states[: length + 1]), (name, walk)
+
+
+class _FixedDraws:
+    """Stands in for a Generator: ``random(size)`` hands out the next draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, size):
+        out, self.draws = self.draws[:size], self.draws[size:]
+        return out
+
+
+def test_walks_agree_on_draws_at_thresholds(request):
+    # draws whose product with the total equals a cumulative sum exactly,
+    # where only the comparison (<=, as bisect_right) decides the edge
+    for name in ("even", "abc", "cycle"):
+        tables = _machine(request, name)._edge_tables
+        assert np.all(tables.totals == 1.0)
+        ties = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)], tables.thresholds.ravel()])
+        draws = np.random.default_rng(2).choice(ties[np.isfinite(ties)], 3000)
+        for length in (1, 3000):
+            scalar = _walk_scalar(tables.rows, _FixedDraws(draws), 0, length)
+            blocks = _walk_blocks(tables, _FixedDraws(draws), 0, length)
+            assert np.array_equal(scalar[0], blocks[0]), name
+            assert np.array_equal(scalar[1], blocks[1]), name
