@@ -12,7 +12,6 @@ from .axioms import (
 )
 from .errors import (
     ClassExplosionError,
-    EmptyWordError,
     EmtoolError,
     ImpossibleSymbolError,
     InconsistentBlockError,
@@ -31,14 +30,9 @@ from .machine import (
     LabeledMatrixMachine,
     StationaryDistribution,
     ValidationReport,
-    overall_matrix,
     stationary_distribution,
-    unifilar_word_prob,
     validate,
-    word_matrix,
-    word_prob_from_distribution,
-    word_prob_from_state,
-    word_prob_stationary,
+    word_prob,
 )
 from .minimize import QuotientMap, minimize_unifilar
 from .mixed_state import (

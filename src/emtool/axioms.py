@@ -206,26 +206,38 @@ def distinctness_partition(
 
 
 def separating_word(machine: LabeledMatrixMachine, i: int, j: int, tolerance: float = EPS_DIST):
-    """Shortest word on which states ``i`` and ``j`` disagree by more than
-    ``tolerance``, or None if none exists up to length N - 1.
+    """Shortlex-least word that tells states ``i`` and ``j`` of a unifilar
+    machine apart, or None when there is none.
 
-    Breadth-first in lexicographic alphabet order, so the witness is
-    deterministic.
+    Breadth-first over the state pairs reached on delta, symbols in order.
+    The word is ``w + (x,)`` where, at the pair ``w`` reaches, ``x``'s
+    emission probabilities differ by more than ``tolerance`` or ``x`` is
+    defined at one state only: the relation ``distinctness_partition`` is
+    seeded and refined with.  Each unordered pair is expanded once, so the
+    search takes O(N^2 k) steps.
     """
-    from .machine import word_prob_from_state
-
     n = machine.n_states
-    queue = deque([()])
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"state pair ({i}, {j}) out of range for {n} states")
+    delta = machine._delta.tolist()
+    probs = next_symbol_probs(machine).tolist()
+    first = (min(i, j), max(i, j))
+    parent: dict[tuple[int, int], tuple | None] = {first: None}
+    queue = deque([first])
     while queue:
-        w = queue.popleft()
-        if w:
-            pi = word_prob_from_state(machine, i, w)
-            pj = word_prob_from_state(machine, j, w)
-            if abs(pi - pj) > tolerance:
-                return w
-        if len(w) < max(n - 1, 1):
-            for x in range(machine.n_symbols):
-                queue.append(w + (x,))
+        pair = queue.popleft()
+        a, b = pair
+        for x, (sa, sb) in enumerate(zip(delta[a], delta[b])):
+            if (sa < 0) != (sb < 0) or abs(probs[a][x] - probs[b][x]) > tolerance:
+                word = [x]
+                while parent[pair] is not None:
+                    pair, y = parent[pair]
+                    word.append(y)
+                return tuple(reversed(word))
+            nxt = (min(sa, sb), max(sa, sb))
+            if sa >= 0 and sa != sb and nxt not in parent:
+                parent[nxt] = (pair, x)
+                queue.append(nxt)
     return None
 
 

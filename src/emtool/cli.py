@@ -271,25 +271,16 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _graph_file(graph: sofic.LabeledGraph, start: int | None = None) -> str:
-    lines = [f"states {graph.n_vertices}", "alphabet " + " ".join(graph.alphabet.symbols)]
-    if start is not None:
-        lines.append(f"start {start}")
-    for i, x, j in sorted(graph.edges):
-        lines.append(f"edge {i} {graph.alphabet.symbols[x]} 1 {j}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_topology(args) -> int:
     machine = _load_machine(args.machine)
     graph = sofic.trim_essential(sofic.strip_probabilities(machine))
     dfa = sofic.minimal_dfa(graph)
     if args.emit == "dfa":
-        text = _graph_file(sofic._dfa_graph(dfa), start=dfa.start)
+        text = fileio.serialize_graph(sofic._dfa_graph(dfa), start=dfa.start)
     elif args.emit == "fischer":
-        text = _graph_file(sofic.fischer_cover(dfa))
+        text = fileio.serialize_graph(sofic.fischer_cover(dfa))
     else:
-        text = _graph_file(sofic.krieger_states(dfa).graph)
+        text = fileio.serialize_graph(sofic.krieger_states(dfa).graph)
     _write_text(args.out, text)
     return EXIT_OK
 

@@ -9,10 +9,6 @@ class MachineFormatError(EmtoolError):
     """Raised when a machine or graph file cannot be parsed."""
 
 
-class EmptyWordError(EmtoolError):
-    """Raised when an operation requires a nonempty word."""
-
-
 class NotIrreducibleError(EmtoolError):
     """Raised when an operation requires a strongly connected machine."""
 

@@ -43,6 +43,14 @@ def _parse_prob(token: str) -> float:
     return p
 
 
+def _parse_index(token: str, error: str) -> int:
+    """A count or state index: ASCII digits only.  ``int`` alone would also
+    take a sign, underscores and other scripts' digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise MachineFormatError(error)
+    return int(token)
+
+
 def parse_machine(text: str):
     """Parse machine text.  Returns (machine, warnings, start), where
     ``start`` is the state index of a ``start`` line, or None without one.
@@ -63,9 +71,9 @@ def parse_machine(text: str):
         fields = line.split()
         kind = fields[0]
         if kind == "states":
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
-                raise MachineFormatError(f"line {lineno}: expected 'states <N>' with N >= 1")
-            n_states = int(fields[1])
+            error = f"line {lineno}: expected 'states <N>' with N >= 1"
+            if len(fields) != 2 or (n_states := _parse_index(fields[1], error)) < 1:
+                raise MachineFormatError(error)
         elif kind == "alphabet":
             if len(fields) < 2:
                 raise MachineFormatError(f"line {lineno}: empty alphabet")
@@ -76,10 +84,8 @@ def parse_machine(text: str):
         elif kind == "start":
             if len(fields) != 2:
                 raise MachineFormatError(f"line {lineno}: expected 'start <i>'")
-            try:
-                start, start_line = int(fields[1]), lineno
-            except ValueError:
-                raise MachineFormatError(f"line {lineno}: bad start state {fields[1]!r}")
+            start = _parse_index(fields[1], f"line {lineno}: bad start state {fields[1]!r}")
+            start_line = lineno
         elif kind == "edge":
             if n_states is None or alphabet is None:
                 raise MachineFormatError(
@@ -90,10 +96,8 @@ def parse_machine(text: str):
                     f"line {lineno}: expected 'edge <from> <symbol> <prob> <to>'"
                 )
             _, src, sym, prob, dst = fields
-            try:
-                i, j = int(src), int(dst)
-            except ValueError:
-                raise MachineFormatError(f"line {lineno}: bad state index")
+            error = f"line {lineno}: bad state index"
+            i, j = _parse_index(src, error), _parse_index(dst, error)
             if not (0 <= i < n_states and 0 <= j < n_states):
                 raise MachineFormatError(f"line {lineno}: state index out of range")
             if sym not in alphabet.symbols:
@@ -123,13 +127,26 @@ def parse_machine(text: str):
     return machine, warnings, start
 
 
-def serialize_machine(machine: LabeledMatrixMachine, start: int | None = None) -> str:
-    lines = [f"states {machine.n_states}", "alphabet " + " ".join(machine.alphabet.symbols)]
+def _serialize(n_states: int, alphabet: Alphabet, edges, start: int | None) -> str:
+    """File text; ``edges`` are (state, symbol, probability text, target)."""
+    lines = [f"states {n_states}", "alphabet " + " ".join(alphabet.symbols)]
     if start is not None:
         lines.append(f"start {start}")
-    for i, x, p, j in machine.edges():
-        lines.append(f"edge {i} {machine.alphabet.symbols[x]} {p:.17g} {j}")
+    for i, x, p, j in edges:
+        lines.append(f"edge {i} {alphabet.symbols[x]} {p} {j}")
     return "\n".join(lines) + "\n"
+
+
+def serialize_machine(machine: LabeledMatrixMachine, start: int | None = None) -> str:
+    edges = ((i, x, f"{p:.17g}", j) for i, x, p, j in machine.edges())
+    return _serialize(machine.n_states, machine.alphabet, edges, start)
+
+
+def serialize_graph(graph, start: int | None = None) -> str:
+    """A probability-free labeled graph (``sofic.LabeledGraph``), every
+    edge written with probability 1, in sorted edge order."""
+    edges = ((i, x, "1", j) for i, x, j in sorted(graph.edges))
+    return _serialize(graph.n_vertices, graph.alphabet, edges, start)
 
 
 def load_machine(path: str) -> LabeledMatrixMachine:

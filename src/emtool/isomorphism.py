@@ -39,15 +39,9 @@ def _propagate(probs_a, probs_b, delta_a, delta_b, n, anchor, tolerance):
             pa, pb = probs_a[i, x], probs_b[m, x]
             if abs(pa - pb) > tolerance:
                 return None
-            present_a = delta_a[i][x] is not None and pa > 0.0
-            present_b = delta_b[m][x] is not None and pb > 0.0
-            if present_a != present_b:
-                # One side carries the edge with probability within tolerance
-                # of zero; treat as absent only if both are that small.
-                if max(pa, pb) > tolerance:
-                    return None
-                continue
-            if not present_a:
+            if pa <= 0.0 or pb <= 0.0:
+                # absent on both sides, or on one side with the other's
+                # probability within tolerance of zero
                 continue
             sa, sb = delta_a[i][x], delta_b[m][x]
             if mapping[sa] == -1:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyWordError, NotIrreducibleError, NotUnifilarError, NumericalError
+from .errors import NotIrreducibleError, NotUnifilarError, NumericalError
 
 # Row sums are accepted as stochastic within this tolerance.
 EPS_STOCH = 1e-9
@@ -230,22 +230,6 @@ def validate(machine: LabeledMatrixMachine, tolerance: float = EPS_STOCH) -> Val
     return ValidationReport(ok=not violations, violations=violations, warnings=[])
 
 
-def overall_matrix(machine: LabeledMatrixMachine) -> np.ndarray:
-    """State-to-state stochastic matrix, summed over symbols."""
-    return machine.matrices.sum(axis=0)
-
-
-def word_matrix(machine: LabeledMatrixMachine, word) -> np.ndarray:
-    """Ordered product of the per-symbol matrices along ``word``."""
-    word = tuple(word)
-    if not word:
-        raise EmptyWordError("word matrix of the empty word is not defined")
-    out = machine.matrices[word[0]].copy()
-    for x in word[1:]:
-        out = out @ machine.matrices[x]
-    return out
-
-
 def require_unifilar(machine: LabeledMatrixMachine) -> None:
     """Raise NotUnifilarError unless every (state, symbol) pair has at most
     one positive edge."""
@@ -269,7 +253,7 @@ def stationary_distribution(machine: LabeledMatrixMachine) -> StationaryDistribu
 def _solve_stationary(machine: LabeledMatrixMachine) -> StationaryDistribution:
     if len(machine._sccs) != 1:
         raise NotIrreducibleError("stationary distribution requires a strongly connected machine")
-    T = overall_matrix(machine)
+    T = machine.matrices.sum(axis=0)
     n = machine.n_states
     A = T.T - np.eye(n)
     A[-1, :] = 1.0
@@ -285,55 +269,44 @@ def _solve_stationary(machine: LabeledMatrixMachine) -> StationaryDistribution:
     return StationaryDistribution(pi=pi, residual=residual)
 
 
-def word_prob_from_state(machine: LabeledMatrixMachine, i: int, word) -> float:
-    """Probability of generating ``word`` starting from state ``i``."""
-    if not 0 <= i < machine.n_states:
-        raise IndexError(f"state index {i} out of range")
+def resolve_start(machine: LabeledMatrixMachine, start) -> np.ndarray:
+    """The start distribution that a start spec names: "stationary" (pi),
+    a state index (a point mass) or a probability vector over the states.
+    Raises ValueError for any other spec."""
+    n = machine.n_states
+    if isinstance(start, str):
+        if start != "stationary":
+            raise ValueError(f"unknown start spec {start!r}")
+        try:
+            return stationary_distribution(machine).pi
+        except NotIrreducibleError:
+            raise NotIrreducibleError("stationary start requires a strongly connected machine")
+    if np.isscalar(start):
+        if not 0 <= int(start) < n:
+            raise ValueError(f"start state {int(start)} out of range for {n} states")
+        dist = np.zeros(n)
+        dist[int(start)] = 1.0
+        return dist
+    dist = np.asarray(start, dtype=float)
+    if (
+        dist.shape != (n,)
+        or not np.all(np.isfinite(dist))
+        or np.any(dist < 0)
+        or abs(dist.sum() - 1.0) > 1e-9
+    ):
+        raise ValueError("start distribution must be a probability vector over states")
+    return dist
+
+
+def word_prob(machine: LabeledMatrixMachine, word, start="stationary") -> float:
+    """Probability of generating ``word`` from ``start``, a spec as
+    ``sample_path`` takes it (see ``resolve_start``); 1 for the empty word.
+
+    The start distribution is carried forward as a row vector through the
+    per-symbol matrices, so a state start gives that state's row of the
+    word's matrix product exactly."""
+    row = resolve_start(machine, start)
     word = tuple(word)
-    if not word:
-        return 1.0
-    row = machine.matrices[word[0]][i].copy()
-    for x in word[1:]:
-        row = row @ machine.matrices[x]
-    return float(row.sum())
-
-
-def word_prob_stationary(machine: LabeledMatrixMachine, word) -> float:
-    """Probability of ``word`` under the stationary start distribution."""
-    pi = stationary_distribution(machine).pi
-    word = tuple(word)
-    if not word:
-        return 1.0
-    row = pi @ machine.matrices[word[0]]
-    for x in word[1:]:
-        row = row @ machine.matrices[x]
-    return float(row.sum())
-
-
-def word_prob_from_distribution(machine: LabeledMatrixMachine, rho, word) -> float:
-    """Probability of ``word`` when the start state is drawn from ``rho``."""
-    row = np.asarray(rho, dtype=float)
     for x in word:
         row = row @ machine.matrices[x]
-    return float(row.sum())
-
-
-def unifilar_word_prob(machine: LabeledMatrixMachine, i: int, word):
-    """Word probability as a product of per-step symbol probabilities along
-    the unique state path.  Returns (probability, path) where the path
-    excludes the start state; (0.0, None) when some step is impossible."""
-    delta = machine._delta
-    if not 0 <= i < machine.n_states:
-        raise IndexError(f"state index {i} out of range")
-    probs = machine._emission_probs
-    prob = 1.0
-    path = []
-    state = i
-    for x in word:
-        nxt = int(delta[state, x])
-        if nxt < 0:
-            return 0.0, None
-        prob *= float(probs[state, x])
-        state = nxt
-        path.append(state)
-    return prob, path
+    return float(row.sum()) if word else 1.0

@@ -13,8 +13,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import NotIrreducibleError
-from .machine import LabeledMatrixMachine, choice_cdf, stationary_distribution
+from .machine import LabeledMatrixMachine, choice_cdf, resolve_start
 
 # Uniforms per ``rng.random`` call in ``sample_path``: bounds the floats held
 # at once without changing the stream.
@@ -52,32 +51,6 @@ class EmpiricalWordTable:
         return self.counts.get(word, 0) / windows
 
 
-def _resolve_start(machine: LabeledMatrixMachine, start) -> np.ndarray:
-    n = machine.n_states
-    if isinstance(start, str):
-        if start != "stationary":
-            raise ValueError(f"unknown start spec {start!r}")
-        try:
-            return stationary_distribution(machine).pi
-        except NotIrreducibleError:
-            raise NotIrreducibleError("stationary start requires a strongly connected machine")
-    if np.isscalar(start):
-        if not 0 <= int(start) < n:
-            raise ValueError(f"start state {int(start)} out of range for {n} states")
-        dist = np.zeros(n)
-        dist[int(start)] = 1.0
-        return dist
-    dist = np.asarray(start, dtype=float)
-    if (
-        dist.shape != (n,)
-        or not np.all(np.isfinite(dist))
-        or np.any(dist < 0)
-        or abs(dist.sum() - 1.0) > 1e-9
-    ):
-        raise ValueError("start distribution must be a probability vector over states")
-    return dist
-
-
 def sample_path(
     machine: LabeledMatrixMachine,
     start,
@@ -105,7 +78,7 @@ def sample_path(
     """
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
-    dist = _resolve_start(machine, start)
+    dist = resolve_start(machine, start)
     cdf = machine._stationary_cdf if isinstance(start, str) else choice_cdf(dist)
     rng = np.random.default_rng([int(seed), int(chain)])
     tables = machine._edge_tables

@@ -19,8 +19,7 @@ from emtool.isomorphism import are_isomorphic
 from emtool.machine import (
     LabeledMatrixMachine,
     stationary_distribution,
-    word_prob_from_state,
-    word_prob_stationary,
+    word_prob,
 )
 from emtool.minimize import minimize_unifilar
 from emtool.mixed_state import belief_of_word, belief_update, estimate_decay
@@ -261,8 +260,8 @@ def test_criterion_6_forbidden_word_count(even_sample):
     # stationary probability 1/12 -- pinned here as a regression check.)
     table = empirical_word_probs(even_sample.symbols, max_len=3, n_symbols=2)
     assert table.count((0, 1, 0)) == 0
-    assert word_prob_stationary(examples.even(0.5), (0, 1, 0)) == 0.0
-    assert word_prob_stationary(examples.even(0.5), (1, 0, 1)) == pytest.approx(1 / 12)
+    assert word_prob(examples.even(0.5), (0, 1, 0)) == 0.0
+    assert word_prob(examples.even(0.5), (1, 0, 1)) == pytest.approx(1 / 12)
     assert table.freq((1, 0, 1)) == pytest.approx(1 / 12, abs=0.005)
 
 
@@ -315,7 +314,7 @@ def test_criterion_8_language_equality(builder):
     dfa = minimal_dfa(trim_essential(strip_probabilities(machine)))
     for length in range(1, 9):
         for w in itertools.product(range(2), repeat=length):
-            assert dfa.accepts(w) == (word_prob_stationary(machine, w) > 0.0)
+            assert dfa.accepts(w) == (word_prob(machine, w) > 0.0)
 
 
 def _follower_quotient(machine):
@@ -359,23 +358,23 @@ def test_criterion_9_word_probability_suite(builder):
 
     # normalization at each length up to 8
     for length in (1, 2, 8):
-        total = sum(word_prob_stationary(machine, w) for w in all_words(k, length))
+        total = sum(word_prob(machine, w) for w in all_words(k, length))
         assert abs(total - 1.0) <= 1e-9
 
     for length in range(1, 5):
         for w in all_words(k, length):
             per_state = np.array(
-                [word_prob_from_state(machine, i, w) for i in range(machine.n_states)]
+                [word_prob(machine, w, i) for i in range(machine.n_states)]
             )
             # probabilities are probabilities
             assert np.all(per_state >= 0.0) and np.all(per_state <= 1.0 + 1e-12)
             # stationary probability is the pi-mixture of per-state ones
             assert float(pi @ per_state) == pytest.approx(
-                word_prob_stationary(machine, w), abs=1e-12
+                word_prob(machine, w), abs=1e-12
             )
             # prefix additivity
-            assert word_prob_stationary(machine, w) == pytest.approx(
-                sum(word_prob_stationary(machine, w + (x,)) for x in range(k)),
+            assert word_prob(machine, w) == pytest.approx(
+                sum(word_prob(machine, w + (x,)) for x in range(k)),
                 abs=1e-9,
             )
 
@@ -387,5 +386,5 @@ def test_criterion_9_word_probability_suite(builder):
         for x in w:
             row = row @ machine.matrices[x]
         assert float(row.sum()) == pytest.approx(
-            word_prob_stationary(machine, w), abs=1e-12
+            word_prob(machine, w), abs=1e-12
         )

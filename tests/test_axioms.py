@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import numpy as np
@@ -20,7 +21,7 @@ from emtool.axioms import (
     unifilar_transitions,
 )
 from emtool.errors import NotUnifilarError
-from emtool.machine import Alphabet, LabeledMatrixMachine, word_prob_from_state
+from emtool.machine import Alphabet, LabeledMatrixMachine, word_prob
 
 
 def test_even_is_generator(even):
@@ -218,11 +219,89 @@ def test_distinctness_seed_is_not_transitive(ps, blocks):
 def test_separating_word(even, np2):
     w = separating_word(even, 0, 1)
     assert w is not None
-    p0 = word_prob_from_state(even, 0, w)
-    p1 = word_prob_from_state(even, 1, w)
+    p0 = word_prob(even, w, 0)
+    p1 = word_prob(even, w, 1)
     assert abs(p0 - p1) > 1e-9
     # equivalent states of NP2 admit no separating word
     assert separating_word(np2, 0, 2) is None
+    with pytest.raises(ValueError):
+        separating_word(even, 0, 2)
+
+
+def _separating_word_reference(machine, i, j, tolerance):
+    """The former search, kept as the reference for ``separating_word``:
+    every word in shortlex order up to length max(N - 1, 1), compared by
+    its probabilities from the two states."""
+    n = machine.n_states
+    queue = deque([()])
+    while queue:
+        w = queue.popleft()
+        if w and abs(word_prob(machine, w, i) - word_prob(machine, w, j)) > tolerance:
+            return w
+        if len(w) < max(n - 1, 1):
+            queue.extend(w + (x,) for x in range(machine.n_symbols))
+    return None
+
+
+def _lift(machine, rng):
+    """2-fold cover: state s becomes s and s + N, and each edge keeps its
+    symbol and probability and crosses to the other copy or not at random,
+    so that s and s + N are equivalent."""
+    n = machine.n_states
+    mats = np.zeros((machine.n_symbols, 2 * n, 2 * n))
+    for i, x, p, j in machine.edges():
+        cross = int(rng.integers(2))
+        for c in (0, 1):
+            mats[x, i + c * n, j + (c ^ cross) * n] = p
+    return LabeledMatrixMachine(2 * n, machine.alphabet, mats)
+
+
+def _uniform_emitter(n, k, rng):
+    """Every state emits each of k symbols with probability 1/k, with
+    random successors: all states are equivalent."""
+    mats = np.zeros((k, n, n))
+    for i in range(n):
+        for x in range(k):
+            mats[x, i, rng.integers(n)] = 1.0 / k
+    return LabeledMatrixMachine(n, Alphabet(tuple("abc"[:k])), mats)
+
+
+def test_separating_word_matches_reference(even, abc, np2, np2_minimal, random_generator_machines):
+    rng = np.random.default_rng(2026)
+    machines = [even, abc, np2, np2_minimal] + random_generator_machines
+    machines += [_lift(m, rng) for m in machines if m.n_states <= 3]
+    machines += [_uniform_emitter(n, k, rng) for n in range(2, 7) for k in (2, 3)]
+    for m in machines:
+        blocks = distinctness_partition(m, 0.0).block_of()
+        for i, j in itertools.combinations(range(m.n_states), 2):
+            for tol in (0.0, 1e-9):
+                w = separating_word(m, i, j, tol)
+                assert w == _separating_word_reference(m, i, j, tol)
+                if tol == 0.0:
+                    assert (w is None) == (blocks[i] == blocks[j])
+
+
+def test_separating_word_agrees_with_partition_near_tolerance():
+    # 0, 1 and 2 emit a and b evenly and 3 emits a with 1.5e-9 more; "a"
+    # leads the pair (0, 1) to (2, 3), so the partition parts 0 and 1,
+    # though their probabilities of "aa" differ by only 0.75e-9
+    mats = np.zeros((2, 4, 4))
+    rows = [(0.5, 2, 1), (0.5, 3, 0), (0.5, 0, 1), (0.5 + 1.5e-9, 0, 1)]  # (P(a), a-, b-successor)
+    for i, (pa, to_a, to_b) in enumerate(rows):
+        mats[0, i, to_a], mats[1, i, to_b] = pa, 1.0 - pa
+    m = LabeledMatrixMachine(4, Alphabet(("a", "b")), mats)
+    assert distinctness_partition(m).blocks == [[0, 2], [1], [3]]
+    assert separating_word(m, 0, 1) == (0, 0)
+    assert _separating_word_reference(m, 0, 1, 1e-9) is None
+    blocks = distinctness_partition(m).block_of()
+    for i, j in itertools.combinations(range(4), 2):
+        assert (separating_word(m, i, j) is None) == (blocks[i] == blocks[j])
+
+
+def test_separating_word_on_40_equivalent_states():
+    # the former word enumeration would compare 2**39 words per pair
+    m = _uniform_emitter(40, 2, np.random.default_rng(40))
+    assert all(separating_word(m, 0, j) is None for j in range(1, 40))
 
 
 def _find_sync_word_reference(machine, max_len=None):

@@ -397,6 +397,23 @@ def test_out_of_range_probability_exits_3(capsys, tmp_path, prob):
     assert err == f"error: bad probability literal {prob!r}\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alphabet a\n\nstates \u00b2\n", "line 3: expected 'states <N>' with N >= 1"),
+        ("states 2\nalphabet a\nstart 0_1\nedge 0 a 1 1\n", "line 3: bad start state '0_1'"),
+        ("states 2\nalphabet a\nedge \u0661 a 1 1\nedge 0 a 1 0\n", "line 3: bad state index"),
+    ],
+)
+def test_non_ascii_integer_exits_3_with_line(capsys, tmp_path, text, message):
+    path = tmp_path / "m.m"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["sample", "x.m"])  # missing required --len/--seed

@@ -128,7 +128,10 @@ def test_start_line_round_trip():
         ("states 0\nalphabet 0\n", "N >= 1"),
         ("# nothing\n", "missing"),
         ("states 2\nalphabet 0\nstart 7\nedge 0 0 1 1\n", "line 3: start state 7 out of range"),
-        ("start -1\nstates 2\nalphabet 0\n", "line 1: start state -1 out of range"),
+        ("start -1\nstates 2\nalphabet 0\n", "line 1: bad start state '-1'"),
+        ("states 2\nalphabet 0\nstart -0\n", "line 3: bad start state '-0'"),
+        ("states +2\nalphabet 0\n", "line 1: expected 'states <N>'"),
+        ("states 2\nalphabet 0\nedge 0 0 1 1_0\n", "line 3: bad state index"),
         ("states 2\nalphabet 0\nstart x\n", "line 3: bad start state 'x'"),
     ],
 )

@@ -4,7 +4,7 @@ import pytest
 from emtool import examples
 from emtool.errors import NotUnifilarError
 from emtool.isomorphism import are_isomorphic
-from emtool.machine import LabeledMatrixMachine
+from emtool.machine import Alphabet, LabeledMatrixMachine
 
 
 def permute(machine, perm):
@@ -72,3 +72,14 @@ def test_symmetry(abc):
     relabeled = permute(abc, [1, 0])
     assert are_isomorphic(abc, relabeled) is not None
     assert are_isomorphic(relabeled, abc) is not None
+
+
+def test_edge_on_one_side_only():
+    # A emits b with probability eps and B never does: isomorphic when eps
+    # is within the tolerance, not when it exceeds it
+    alphabet = Alphabet(("a", "b"))
+    b = LabeledMatrixMachine(1, alphabet, np.array([[[1.0]], [[0.0]]]))
+    for eps, isomorphic in ((1e-10, True), (1e-8, False)):
+        a = LabeledMatrixMachine(1, alphabet, np.array([[[1.0 - eps]], [[eps]]]))
+        assert (are_isomorphic(a, b, 1e-9) is not None) == isomorphic
+        assert (are_isomorphic(b, a, 1e-9) is not None) == isomorphic

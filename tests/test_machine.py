@@ -1,21 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
 
-from conftest import all_words, brute_stationary_word_prob
+from conftest import all_words, brute_stationary_word_prob, brute_word_prob
 from emtool import examples
-from emtool.errors import EmptyWordError, NotIrreducibleError, NotUnifilarError, NumericalError
+from emtool.axioms import next_symbol_probs, unifilar_transitions
+from emtool.errors import NotIrreducibleError, NotUnifilarError, NumericalError
 from emtool.machine import (
     EPS_SOLVE,
     Alphabet,
     LabeledMatrixMachine,
-    overall_matrix,
     stationary_distribution,
-    unifilar_word_prob,
     validate,
-    word_matrix,
-    word_prob_from_distribution,
-    word_prob_from_state,
-    word_prob_stationary,
+    word_prob,
 )
 
 ALL_EXAMPLES = ["even", "abc", "np2", "np2_minimal", "sns"]
@@ -51,7 +49,7 @@ def test_validate_flags_useless_symbol():
 
 
 def test_overall_matrix_row_stochastic(machine):
-    rows = overall_matrix(machine).sum(axis=1)
+    rows = machine.matrices.sum(axis=0).sum(axis=1)
     assert np.allclose(rows, 1.0, atol=1e-12)
 
 
@@ -103,62 +101,98 @@ def test_stationary_requires_irreducible():
 
 def test_even_word_probs(even):
     # frozen hand-derived values at p = 0.5
-    assert word_prob_stationary(even, (0,)) == pytest.approx(1 / 3, abs=1e-12)
-    assert word_prob_stationary(even, (1, 1)) == pytest.approx(1 / 2, abs=1e-12)
-    assert word_prob_stationary(even, (0, 1, 0)) == 0.0
-    assert word_prob_stationary(even, (1, 0, 1)) == pytest.approx(1 / 12, abs=1e-12)
+    assert word_prob(even, (0,)) == pytest.approx(1 / 3, abs=1e-12)
+    assert word_prob(even, (1, 1)) == pytest.approx(1 / 2, abs=1e-12)
+    assert word_prob(even, (0, 1, 0)) == 0.0
+    assert word_prob(even, (1, 0, 1)) == pytest.approx(1 / 12, abs=1e-12)
 
 
 def test_word_probs_against_path_enumeration(machine):
     for length in range(1, 5):
         for w in all_words(machine.n_symbols, length):
             expected = brute_stationary_word_prob(machine, w)
-            assert word_prob_stationary(machine, w) == pytest.approx(expected, abs=1e-12)
+            assert word_prob(machine, w) == pytest.approx(expected, abs=1e-12)
+
+
+def _row_product(row, machine, word):
+    """Reference: ``row`` carried through the matrices of ``word``'s
+    remaining symbols, one vector-matrix product per symbol."""
+    for x in word:
+        row = row @ machine.matrices[x]
+    return float(row.sum())
 
 
 def test_word_prob_from_state_matches_matrix_row(machine):
-    for i in range(machine.n_states):
-        for w in all_words(machine.n_symbols, 3):
-            expected = float(word_matrix(machine, w)[i].sum())
-            assert word_prob_from_state(machine, i, w) == pytest.approx(expected, abs=1e-14)
+    # a state start gives bitwise the sum of the state's row of the word's
+    # matrices, which row i of the first matrix starts exactly; pi likewise
+    pi = stationary_distribution(machine).pi
+    for length in range(1, 5):
+        for w in all_words(machine.n_symbols, length):
+            first, rest = machine.matrices[w[0]], w[1:]
+            product = functools.reduce(np.matmul, [machine.matrices[x] for x in w])
+            for i in range(machine.n_states):
+                p = word_prob(machine, w, i)
+                assert p == _row_product(first[i], machine, rest)
+                assert p == pytest.approx(float(product[i].sum()), abs=1e-14)
+            assert word_prob(machine, w) == _row_product(pi @ first, machine, rest)
+            assert word_prob(machine, w, pi) == word_prob(machine, w)
 
 
 def test_empty_word_conventions(machine):
-    assert word_prob_from_state(machine, 0, ()) == 1.0
-    assert word_prob_stationary(machine, ()) == 1.0
-    with pytest.raises(EmptyWordError):
-        word_matrix(machine, ())
+    assert word_prob(machine, (), 0) == 1.0
+    assert word_prob(machine, ()) == 1.0
+    assert word_prob(machine, (), stationary_distribution(machine).pi) == 1.0
+
+
+@pytest.mark.parametrize(
+    "start",
+    [-1, 2, "uniform", [0.5], [0.5, 0.6], [1.5, -0.5], [np.nan, 1.0]],
+)
+def test_word_prob_rejects_bad_start(even, start):
+    with pytest.raises(ValueError):
+        word_prob(even, (0,), start)
+
+
+def test_word_prob_stationary_start_requires_irreducible():
+    mats = np.zeros((1, 2, 2))
+    mats[0, 0, 0] = mats[0, 1, 1] = 1.0
+    m = LabeledMatrixMachine(2, Alphabet(("a",)), mats)
+    assert word_prob(m, (0,), 1) == 1.0
+    with pytest.raises(NotIrreducibleError, match="stationary start"):
+        word_prob(m, (0,))
 
 
 def test_normalization_per_length(machine):
     for length in (1, 4, 8):
         total = sum(
-            word_prob_stationary(machine, w) for w in all_words(machine.n_symbols, length)
+            word_prob(machine, w) for w in all_words(machine.n_symbols, length)
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_unifilar_word_prob_matches(even):
+    # on a unifilar machine a word's probability from a state is the product
+    # of the emission probabilities along its one state path
+    delta, probs = unifilar_transitions(even), next_symbol_probs(even)
     for length in range(1, 6):
         for w in all_words(2, length):
             for i in range(even.n_states):
-                p, path = unifilar_word_prob(even, i, w)
-                assert p == pytest.approx(word_prob_from_state(even, i, w), abs=1e-12)
-                if p > 0.0:
-                    assert len(path) == length
-
-
-def test_unifilar_word_prob_rejects_nonunifilar(sns):
-    with pytest.raises(NotUnifilarError):
-        unifilar_word_prob(sns, 0, (1,))
+                expected, state = 1.0, i
+                for x in w:
+                    if delta[state][x] is None:
+                        expected = 0.0
+                        break
+                    expected *= probs[state, x]
+                    state = delta[state][x]
+                assert word_prob(even, w, i) == pytest.approx(expected, abs=1e-12)
 
 
 def test_word_prob_from_distribution(even):
     pi = stationary_distribution(even).pi
+    rho = np.array([0.25, 0.75])
     for w in all_words(2, 4):
-        assert word_prob_from_distribution(even, pi, w) == pytest.approx(
-            word_prob_stationary(even, w), abs=1e-14
-        )
+        assert word_prob(even, w, pi) == pytest.approx(word_prob(even, w), abs=1e-14)
+        assert word_prob(even, w, rho) == pytest.approx(brute_word_prob(even, rho, w), abs=1e-14)
 
 
 def test_alphabet_word_parsing():

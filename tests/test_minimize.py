@@ -8,7 +8,7 @@ from emtool.isomorphism import are_isomorphic
 from emtool.machine import (
     Alphabet,
     LabeledMatrixMachine,
-    word_prob_stationary,
+    word_prob,
 )
 from emtool.minimize import minimize_unifilar
 
@@ -33,8 +33,8 @@ def test_quotient_preserves_word_probabilities(np2):
     quotient = minimize_unifilar(np2).target
     for length in range(1, 7):
         for w in all_words(2, length):
-            assert word_prob_stationary(quotient, w) == pytest.approx(
-                word_prob_stationary(np2, w), abs=1e-12
+            assert word_prob(quotient, w) == pytest.approx(
+                word_prob(np2, w), abs=1e-12
             )
 
 

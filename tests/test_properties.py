@@ -10,8 +10,7 @@ from emtool.machine import (
     LabeledMatrixMachine,
     stationary_distribution,
     validate,
-    word_prob_from_state,
-    word_prob_stationary,
+    word_prob,
 )
 from emtool.mixed_state import belief_of_word, belief_update
 from emtool.simulate import check_edge_consistency, sample_path
@@ -89,8 +88,8 @@ def test_stationary_fixed_point(m):
 def test_word_prob_additivity(m, word):
     """P(w) = sum_x P(wx): conditional next-symbol probabilities sum to 1."""
     w = tuple(x % m.n_symbols for x in word)
-    base = word_prob_stationary(m, w) if w else 1.0
-    extended = sum(word_prob_stationary(m, w + (x,)) for x in range(m.n_symbols))
+    base = word_prob(m, w)
+    extended = sum(word_prob(m, w + (x,)) for x in range(m.n_symbols))
     assert abs(base - extended) <= 1e-9
 
 
@@ -107,7 +106,7 @@ def test_belief_recursion_consistency(m, word):
     """phi(wx) equals one belief_update step from phi(w) whenever wx has
     positive probability."""
     w = tuple(x % m.n_symbols for x in word)
-    if word_prob_stationary(m, w) <= 0.0:
+    if word_prob(m, w) <= 0.0:
         return
     phi = belief_of_word(m, w[:-1])
     stepped = belief_update(m, phi, w[-1])
@@ -120,7 +119,7 @@ def test_state_word_probs_are_distributions(m):
     for i in range(m.n_states):
         total = 0.0
         for x in range(m.n_symbols):
-            total += word_prob_from_state(m, i, (x,))
+            total += word_prob(m, (x,), i)
         assert abs(total - 1.0) <= 1e-9
 
 

@@ -19,8 +19,7 @@ from emtool.machine import (
     Alphabet,
     LabeledMatrixMachine,
     stationary_distribution,
-    word_prob_from_state,
-    word_prob_stationary,
+    word_prob,
 )
 from emtool.minimize import minimize_unifilar
 from emtool.mixed_state import belief_update
@@ -80,7 +79,7 @@ def test_analytic_preserves_word_probabilities(even):
             for x in w:
                 row = row @ result.machine.matrices[x]
             assert float(row.sum()) == pytest.approx(
-                word_prob_stationary(even, w), abs=1e-9
+                word_prob(even, w), abs=1e-9
             )
 
 
@@ -249,8 +248,8 @@ def test_empirical_state_future_matches_machine(even):
     assert iso is not None
     for i in range(m.n_states):
         for w in all_words(2, 3):
-            assert word_prob_from_state(m, i, w) == pytest.approx(
-                word_prob_from_state(even, iso.mapping.index(i), w), abs=0.03
+            assert word_prob(m, w, i) == pytest.approx(
+                word_prob(even, w, iso.mapping.index(i)), abs=0.03
             )
 
 

@@ -5,12 +5,11 @@ import pytest
 
 from emtool import examples
 from emtool.errors import NotIrreducibleError
-from emtool.machine import Alphabet, LabeledMatrixMachine, word_prob_stationary
+from emtool.machine import Alphabet, LabeledMatrixMachine, resolve_start, word_prob
 from emtool.simulate import (
     BLOCK,
     BLOCK_MAX_SLOTS,
     BLOCK_MIN_LEN,
-    _resolve_start,
     _walk_blocks,
     _walk_scalar,
     check_edge_consistency,
@@ -97,14 +96,14 @@ def test_word_table_rejects_overlong_words():
 def test_empirical_frequencies_converge(even):
     run = sample_path(even, "stationary", 10**5, seed=21)
     table = empirical_word_probs(run.symbols, max_len=3, n_symbols=2)
-    assert table.freq((1, 1)) == pytest.approx(word_prob_stationary(even, (1, 1)), abs=0.01)
+    assert table.freq((1, 1)) == pytest.approx(word_prob(even, (1, 1)), abs=0.01)
     assert table.count((0, 1, 0)) == 0  # forbidden word never sampled
 
 
 def _reference_sample_path(machine, start, length, seed, chain):
     """The per-step numpy loop that sample_path replaced: inversion with
     np.searchsorted over numpy cumulative-probability arrays."""
-    dist = _resolve_start(machine, start)
+    dist = resolve_start(machine, start)
     rng = np.random.default_rng([int(seed), int(chain)])
     cum, syms, tgts = [], [], []
     for i in range(machine.n_states):

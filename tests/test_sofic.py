@@ -7,7 +7,7 @@ import pytest
 from emtool import examples
 from emtool.axioms import SubsetSearch, refine_partition
 from emtool.errors import NotIrreducibleShiftError
-from emtool.machine import Alphabet, word_prob_stationary
+from emtool.machine import Alphabet, word_prob
 from emtool.sofic import (
     Dfa,
     LabeledGraph,
@@ -115,7 +115,7 @@ def test_dfa_language_equals_support(name, request):
     dfa = minimal_dfa(trim_essential(strip_probabilities(machine)))
     for length in range(1, 9):
         for w in itertools.product(range(2), repeat=length):
-            positive = word_prob_stationary(machine, w) > 0.0
+            positive = word_prob(machine, w) > 0.0
             assert dfa.accepts(w) == positive, w
 
 
