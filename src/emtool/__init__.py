@@ -49,12 +49,10 @@ from .reconstruct import (
     ReconstructedMachine,
     reconstruct_analytic,
     reconstruct_empirical,
-    sns_belief_closed_form,
 )
 from .simulate import (
     EmpiricalWordTable,
     SampleRun,
-    check_edge_consistency,
     empirical_word_probs,
     sample_path,
 )
@@ -64,7 +62,6 @@ from .sofic import (
     LabeledGraph,
     fischer_cover,
     krieger_states,
-    label_isomorphic,
     minimal_dfa,
     strip_probabilities,
     trim_essential,

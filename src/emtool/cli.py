@@ -189,8 +189,8 @@ def cmd_words(args) -> int:
     symbols, alphabet = _load_sample(args.sample, args.alphabet)
     table = simulate.empirical_word_probs(symbols, args.max_len, len(alphabet))
     out = ["word,count,freq"]
-    for word in sorted(table.counts, key=lambda w: (len(w), w)):
-        out.append(f"{alphabet.format_word(word)},{table.counts[word]},{_fmt(table.freq(word))}")
+    for word, count in table.counts.items():
+        out.append(f"{alphabet.format_word(word)},{count},{_fmt(table.freq(word))}")
     _write_text(args.out, "\n".join(out) + "\n")
     return EXIT_OK
 

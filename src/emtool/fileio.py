@@ -29,7 +29,7 @@ from .errors import MachineFormatError
 from .machine import Alphabet, LabeledMatrixMachine
 
 
-def _parse_prob(token: str) -> float:
+def _parse_prob(token: str, lineno: int) -> float:
     """A decimal literal is read by ``float``, which rounds correctly; ``a/b``
     is read exactly and rounded once.  A literal whose double is not finite
     (``inf``, ``nan``, or beyond the double range, as ``1e500``) is
@@ -39,7 +39,7 @@ def _parse_prob(token: str) -> float:
     except (ValueError, ZeroDivisionError, OverflowError):
         p = math.nan
     if not math.isfinite(p):
-        raise MachineFormatError(f"bad probability literal {token!r}")
+        raise MachineFormatError(f"line {lineno}: bad probability literal {token!r}")
     return p
 
 
@@ -106,7 +106,7 @@ def parse_machine(text: str):
             if (i, x, j) in seen_edges:
                 raise MachineFormatError(f"line {lineno}: duplicate edge {i} {sym} -> {j}")
             seen_edges.add((i, x, j))
-            p = _parse_prob(prob)
+            p = _parse_prob(prob, lineno)
             if p < 0.0:
                 raise MachineFormatError(f"line {lineno}: negative probability")
             if matrices is None:

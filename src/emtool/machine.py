@@ -105,7 +105,6 @@ class LabeledMatrixMachine:
             for x in range(self.n_symbols):
                 for j in np.flatnonzero(self.matrices[x, i] > 0.0):
                     out.append((i, x, float(self.matrices[x, i, j]), int(j)))
-        out.sort(key=lambda e: (e[0], e[1], e[3]))
         return out
 
     @cached_property
@@ -271,8 +270,9 @@ def _solve_stationary(machine: LabeledMatrixMachine) -> StationaryDistribution:
 
 def resolve_start(machine: LabeledMatrixMachine, start) -> np.ndarray:
     """The start distribution that a start spec names: "stationary" (pi),
-    a state index (a point mass) or a probability vector over the states.
-    Raises ValueError for any other spec."""
+    a state index (a point mass; an ``int`` or numpy integer, not a bool)
+    or a probability vector over the states.  Raises ValueError for any
+    other spec."""
     n = machine.n_states
     if isinstance(start, str):
         if start != "stationary":
@@ -282,6 +282,8 @@ def resolve_start(machine: LabeledMatrixMachine, start) -> np.ndarray:
         except NotIrreducibleError:
             raise NotIrreducibleError("stationary start requires a strongly connected machine")
     if np.isscalar(start):
+        if isinstance(start, bool) or not isinstance(start, (int, np.integer)):
+            raise ValueError(f"start state must be an integer, got {start!r}")
         if not 0 <= int(start) < n:
             raise ValueError(f"start state {int(start)} out of range for {n} states")
         dist = np.zeros(n)

@@ -37,6 +37,7 @@ from .errors import (
 from .machine import Alphabet, LabeledMatrixMachine, stationary_distribution
 from .minimize import minimize_unifilar
 from .mixed_state import _snap
+from .simulate import decode_word, window_codes
 
 # Symbol probabilities at or below this are treated as absent edges during
 # belief exploration.
@@ -291,17 +292,6 @@ def reconstruct_analytic(
     )
 
 
-def sns_belief_closed_form(p: float, q: float, n: int) -> float:
-    """Probability of next emitting 0 after the past 0 1^n on the two-state
-    nonunifilar source with parameters p, q."""
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("p and q must lie strictly between 0 and 1")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    tail = (1.0 - p) * sum(p**m * q ** (n - 1 - m) for m in range(n))
-    return (1.0 - q) * tail / (p**n + tail)
-
-
 @dataclass
 class ContextModel:
     """Sliding-window counts of (past context, length-L future) pairs."""
@@ -314,35 +304,22 @@ class ContextModel:
     future_counts: np.ndarray  # (n_contexts, n_symbols ** l_fut)
 
     def decode_context(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.l_ctx):
-            out.append(code % self.n_symbols)
-            code //= self.n_symbols
-        return tuple(reversed(out))
+        return decode_word(code, self.l_ctx, self.n_symbols)
 
 
 def build_context_model(symbols, l_ctx: int, l_fut: int, n_symbols: int) -> ContextModel:
-    symbols = np.asarray(symbols, dtype=np.int64)
-    n_windows = len(symbols) - l_ctx - l_fut + 1
-    if n_windows <= 0:
+    """Counts of the (context, future) windows; ValueError for a length below 1
+    or windows beyond 64-bit codes (``window_codes``)."""
+    if l_ctx < 1 or l_fut < 1:
+        raise ValueError(f"context and future lengths must be at least 1, got {l_ctx} and {l_fut}")
+    if len(symbols) < l_ctx + l_fut:
         raise InsufficientDataError(
             f"sample of length {len(symbols)} too short for context {l_ctx} + future {l_fut}"
         )
     k = int(n_symbols)
-
-    def codes(start, length):
-        c = symbols[start : start + n_windows].astype(np.int64).copy()
-        for off in range(1, length):
-            c *= k
-            c += symbols[start + off : start + off + n_windows]
-        return c
-
-    ctx = codes(0, l_ctx)
-    fut = codes(l_ctx, l_fut)
-    joint = ctx * (k**l_fut) + fut
+    *_, joint = window_codes(symbols, l_ctx + l_fut, k)
     uniq, cnt = np.unique(joint, return_counts=True)
-    ctx_of = uniq // (k**l_fut)
-    fut_of = uniq % (k**l_fut)
+    ctx_of, fut_of = np.divmod(uniq, k**l_fut)
     ctx_codes, inverse = np.unique(ctx_of, return_inverse=True)
     future_counts = np.zeros((len(ctx_codes), k**l_fut), dtype=np.int64)
     future_counts[inverse, fut_of] = cnt

@@ -36,6 +36,8 @@ class SampleRun:
 
 @dataclass
 class EmpiricalWordTable:
+    """Sliding-window counts of the words that occur, in (length, lexicographic) order."""
+
     counts: dict[tuple[int, ...], int]
     length: int
     max_len: int
@@ -157,35 +159,40 @@ def _walk_blocks(tables, rng, s: int, length: int):
     return symbols, states
 
 
-def empirical_word_probs(symbols, max_len: int, n_symbols: int | None = None) -> EmpiricalWordTable:
-    """Sliding-window counts of every word up to ``max_len``."""
+def window_codes(symbols, max_len: int, n_symbols: int):
+    """Yield, for ``ell = 1, ..., max_len``, the big-endian base-``n_symbols`` codes
+    of the windows ``symbols[t : t + ell]`` in window order; codes of one length sort
+    as their words do.  Steps run in place on one int64 copy of ``symbols``, so each
+    yielded array is overwritten by the next.  ValueError once ``n_symbols ** max_len > 2**63``."""
+    k = int(n_symbols)
+    if k**max_len > 2**63:
+        raise ValueError(f"words of length {max_len} over {k} symbols do not fit a 64-bit code")
     symbols = np.asarray(symbols, dtype=np.int64)
+    codes = symbols.copy()
+    for ell in range(1, max_len + 1):
+        if ell > 1:
+            codes = codes[:-1]
+            codes *= k
+            codes += symbols[ell - 1 :]
+        yield codes
+
+
+def decode_word(code: int, length: int, n_symbols: int) -> tuple[int, ...]:
+    """The word of ``length`` symbols that ``window_codes`` codes as ``code``."""
+    word = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, word[i] = divmod(code, n_symbols)
+    return tuple(word)
+
+
+def empirical_word_probs(symbols, max_len: int, n_symbols: int) -> EmpiricalWordTable:
+    """Sliding-window counts of every word up to ``max_len``."""
     length = len(symbols)
     if max_len > length:
         raise ValueError(f"max_len {max_len} exceeds sample length {length}")
-    if n_symbols is None:
-        n_symbols = int(symbols.max()) + 1 if length else 1
     counts: dict[tuple[int, ...], int] = {}
-    codes = np.zeros(0, dtype=np.int64)
-    for ell in range(1, max_len + 1):
-        if ell == 1:
-            codes = symbols.copy()
-        else:
-            codes = codes[:-1] * n_symbols + symbols[ell - 1 :]
+    for ell, codes in enumerate(window_codes(symbols, max_len, n_symbols), 1):
         uniq, cnt = np.unique(codes, return_counts=True)
         for code, c in zip(uniq.tolist(), cnt.tolist()):
-            word = []
-            v = code
-            for _ in range(ell):
-                word.append(v % n_symbols)
-                v //= n_symbols
-            counts[tuple(reversed(word))] = int(c)
+            counts[decode_word(code, ell, n_symbols)] = c
     return EmpiricalWordTable(counts=counts, length=length, max_len=max_len)
-
-
-def check_edge_consistency(machine: LabeledMatrixMachine, run: SampleRun) -> bool:
-    """Every consecutive (state, symbol, state) triple must be a positive
-    edge of the machine."""
-    m = machine.matrices
-    probs = m[run.symbols, run.states[:-1], run.states[1:]]
-    return bool(np.all(probs > 0.0))

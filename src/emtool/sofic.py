@@ -17,7 +17,6 @@ import numpy as np
 
 from .axioms import SubsetSearch, refine_partition, strongly_connected_components, terminal_components
 from .errors import NotIrreducibleShiftError
-from .isomorphism import are_isomorphic
 from .machine import Alphabet, LabeledMatrixMachine
 
 
@@ -57,16 +56,6 @@ def strip_probabilities(machine: LabeledMatrixMachine) -> LabeledGraph:
     """The labeled graph of positive-probability edges."""
     edges = tuple((i, x, j) for i, x, _, j in machine.edges())
     return LabeledGraph(machine.n_states, machine.alphabet, edges)
-
-
-def graph_to_machine(graph: LabeledGraph) -> LabeledMatrixMachine:
-    """Unit-probability matrix view of a graph, for reuse of machine-level
-    structural algorithms (not stochastic)."""
-    k = len(graph.alphabet.symbols)
-    matrices = np.zeros((k, graph.n_vertices, graph.n_vertices))
-    for i, x, j in graph.edges:
-        matrices[x, i, j] = 1.0
-    return LabeledMatrixMachine(graph.n_vertices, graph.alphabet, matrices)
 
 
 def _cyclic_scc_vertices(adj: list[list[int]]) -> set[int]:
@@ -174,10 +163,3 @@ def krieger_states(dfa: Dfa) -> KriegerCover:
     from_cycle = _reachable(adj, _cyclic_scc_vertices(adj))
     kept = sorted(live & from_cycle)
     return KriegerCover(states=tuple(kept), graph=_induce(graph, kept))
-
-
-def label_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
-    """Label-preserving graph isomorphism for deterministic (right-resolving)
-    labeled graphs, via the machine isomorphism check with unit edge weights
-    and zero tolerance."""
-    return are_isomorphic(graph_to_machine(a), graph_to_machine(b), tolerance=0.0) is not None

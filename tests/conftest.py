@@ -13,6 +13,7 @@ import pytest
 
 from emtool import examples
 from emtool.axioms import is_generator_em, unifilar_transitions
+from emtool.isomorphism import are_isomorphic
 from emtool.machine import Alphabet, LabeledMatrixMachine, stationary_distribution, validate
 
 
@@ -182,3 +183,37 @@ def unsynced_fraction(machine, horizon):
         frontier = nxt
         out[t] = sum(float(r.sum()) for s, r in frontier.items() if len(s) > 1)
     return out
+
+
+def sns_belief_closed_form(p, q, n):
+    """Probability of next emitting 0 after the past 0 1^n on the two-state
+    nonunifilar source with parameters p, q."""
+    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
+        raise ValueError("p and q must lie strictly between 0 and 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    tail = (1.0 - p) * sum(p**m * q ** (n - 1 - m) for m in range(n))
+    return (1.0 - q) * tail / (p**n + tail)
+
+
+def graph_to_machine(graph):
+    """Unit-probability matrix view of a labeled graph (not stochastic)."""
+    k = len(graph.alphabet.symbols)
+    matrices = np.zeros((k, graph.n_vertices, graph.n_vertices))
+    for i, x, j in graph.edges:
+        matrices[x, i, j] = 1.0
+    return LabeledMatrixMachine(graph.n_vertices, graph.alphabet, matrices)
+
+
+def label_isomorphic(a, b):
+    """Label-preserving graph isomorphism for deterministic (right-resolving)
+    labeled graphs, via the machine isomorphism check with unit edge weights
+    and zero tolerance."""
+    return are_isomorphic(graph_to_machine(a), graph_to_machine(b), tolerance=0.0) is not None
+
+
+def check_edge_consistency(machine, run):
+    """Every consecutive (state, symbol, state) triple of a sampled run is a
+    positive edge of the machine."""
+    probs = machine.matrices[run.symbols, run.states[:-1], run.states[1:]]
+    return bool(np.all(probs > 0.0))

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import all_words, shortlex_state_words
+from conftest import all_words, label_isomorphic, shortlex_state_words, sns_belief_closed_form
 from emtool import examples
 from emtool.axioms import (
     is_generator_em,
@@ -27,13 +27,11 @@ from emtool.reconstruct import (
     future_feature_basis,
     reconstruct_analytic,
     reconstruct_empirical,
-    sns_belief_closed_form,
 )
 from emtool.simulate import empirical_word_probs, sample_path
 from emtool.sofic import (
     LabeledGraph,
     fischer_cover,
-    label_isomorphic,
     minimal_dfa,
     strip_probabilities,
     trim_essential,

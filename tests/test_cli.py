@@ -357,6 +357,42 @@ def test_reconstruct_empirical_cli(capsys, tmp_path, even_file):
     assert "provenance: empirical" in err
 
 
+@pytest.fixture()
+def sample20(tmp_path):
+    """400 symbols over 20 letters: words of 15 symbols have 20**15 > 2**63 codes."""
+    path = tmp_path / "s20.txt"
+    letters = "abcdefghijklmnopqrst"
+    symbols = np.random.default_rng(5).integers(0, 20, 400)
+    path.write_text("".join(f"{letters[x]}\n" for x in symbols))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        (["--lctx", "0"], "context and future lengths must be at least 1, got 0 and 4"),
+        (["--lfut", "0"], "context and future lengths must be at least 1, got 8 and 0"),
+        (
+            ["--lctx", "12", "--lfut", "3"],
+            "words of length 15 over 20 symbols do not fit a 64-bit code",
+        ),
+    ],
+)
+def test_reconstruct_empirical_bad_window_exits_3(capsys, sample20, window, message):
+    code, out, err = run(capsys, "reconstruct", "empirical", sample20, *window)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("max_len", ["15", "16"])
+def test_words_beyond_64_bit_codes_exit_3(capsys, sample20, max_len):
+    code, out, err = run(capsys, "words", sample20, "--max-len", max_len)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: words of length {max_len} over 20 symbols do not fit a 64-bit code\n"
+
+
 def test_topology_emits(capsys, even_file):
     code, out, _ = run(capsys, "topology", even_file, "--emit", "dfa")
     assert code == 0
@@ -394,7 +430,7 @@ def test_out_of_range_probability_exits_3(capsys, tmp_path, prob):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 3
     assert out == ""
-    assert err == f"error: bad probability literal {prob!r}\n"
+    assert err == f"error: line 3: bad probability literal {prob!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -90,7 +90,7 @@ def test_decimal_literals_build_no_rational(monkeypatch):
     "token", ["1e500", "-1e500", "1e999999999", "inf", "-inf", "nan", "Infinity", "1" + "0" * 400 + "/1"]
 )
 def test_nonfinite_or_out_of_range_literal_rejected(token):
-    with pytest.raises(MachineFormatError, match="bad probability literal"):
+    with pytest.raises(MachineFormatError, match=r"^line 3: bad probability literal"):
         parse_machine(_one_edge(token))
 
 

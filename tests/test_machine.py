@@ -146,7 +146,9 @@ def test_empty_word_conventions(machine):
 
 @pytest.mark.parametrize(
     "start",
-    [-1, 2, "uniform", [0.5], [0.5, 0.6], [1.5, -0.5], [np.nan, 1.0]],
+    [-1, 2, "uniform", [0.5], [0.5, 0.6], [1.5, -0.5], [np.nan, 1.0]]
+    # a state is an integer: neither truncated nor read from a bool
+    + [1.7, 0.9, 1.0, np.float64(1.0), True, np.bool_(True)],
 )
 def test_word_prob_rejects_bad_start(even, start):
     with pytest.raises(ValueError):

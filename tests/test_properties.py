@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import check_edge_consistency
 from emtool.axioms import is_irreducible, is_unifilar
 from emtool.fileio import parse_machine, serialize_machine
 from emtool.machine import (
@@ -13,7 +14,7 @@ from emtool.machine import (
     word_prob,
 )
 from emtool.mixed_state import belief_of_word, belief_update
-from emtool.simulate import check_edge_consistency, sample_path
+from emtool.simulate import sample_path
 
 
 @st.composite
@@ -71,6 +72,8 @@ def test_serialize_parse_round_trip(m):
     reparsed, warnings, _ = parse_machine(serialize_machine(m))
     assert warnings == []
     assert np.array_equal(reparsed.matrices, m.matrices)
+    edges = m.edges()
+    assert edges == sorted(edges, key=lambda e: (e[0], e[1], e[3]))
 
 
 @given(irreducible_machines())

@@ -1,11 +1,11 @@
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
-from conftest import all_words
+from conftest import all_words, sns_belief_closed_form
 from emtool import examples
 from emtool.axioms import find_sync_word, is_generator_em, unifilar_transitions
 from emtool.errors import (
@@ -35,7 +35,6 @@ from emtool.reconstruct import (
     future_feature_basis,
     reconstruct_analytic,
     reconstruct_empirical,
-    sns_belief_closed_form,
 )
 from emtool.simulate import sample_path
 
@@ -209,6 +208,39 @@ def test_context_model_counts_consistent(even):
 def test_context_model_rejects_short_samples():
     with pytest.raises(InsufficientDataError):
         build_context_model([0, 1, 0], l_ctx=4, l_fut=2, n_symbols=2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_context_model_matches_window_counter(k):
+    symbols = np.random.default_rng(k).integers(0, k, 400).tolist()
+    l_ctx, l_fut = 3, 2
+    model = build_context_model(symbols, l_ctx, l_fut, k)
+    contexts, futures = list(all_words(k, l_ctx)), list(all_words(k, l_fut))
+    got = Counter()
+    for row, code in enumerate(model.ctx_codes.tolist()):
+        assert model.decode_context(code) == contexts[code]
+        for col in np.flatnonzero(model.future_counts[row]).tolist():
+            got[contexts[code] + futures[col]] = int(model.future_counts[row, col])
+    n = l_ctx + l_fut
+    windows = Counter(tuple(symbols[t : t + n]) for t in range(len(symbols) - n + 1))
+    assert got == windows
+    assert np.all(np.diff(model.ctx_codes) > 0)
+
+
+def test_context_model_rejects_zero_length_and_overlong_windows():
+    symbols = np.random.default_rng(1).integers(0, 20, 400)
+    for l_ctx, l_fut in ((0, 2), (2, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="at least 1"):
+            build_context_model(symbols, l_ctx, l_fut, 20)
+    # 20**15 > 2**63: the window codes would overflow int64
+    with pytest.raises(ValueError, match="64-bit"):
+        build_context_model(symbols, 12, 3, 20)
+    # 20**14 < 2**63: every context is one of the sample's
+    model = build_context_model(symbols, 12, 2, 20)
+    s = symbols.tolist()
+    assert {model.decode_context(c) for c in model.ctx_codes.tolist()} == {
+        tuple(s[t : t + 12]) for t in range(400 - 14 + 1)
+    }
 
 
 def test_empirical_even_small_sample(even):

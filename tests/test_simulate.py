@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import check_edge_consistency
 from emtool import examples
 from emtool.errors import NotIrreducibleError
 from emtool.machine import Alphabet, LabeledMatrixMachine, resolve_start, word_prob
@@ -12,9 +14,10 @@ from emtool.simulate import (
     BLOCK_MIN_LEN,
     _walk_blocks,
     _walk_scalar,
-    check_edge_consistency,
+    decode_word,
     empirical_word_probs,
     sample_path,
+    window_codes,
 )
 
 
@@ -64,6 +67,11 @@ def test_bad_start_rejected(even):
     for state in (2, 5, -1):
         with pytest.raises(ValueError, match=f"start state {state} out of range for 2 states"):
             sample_path(even, state, 10, seed=1)
+    # a start state is an integer: neither truncated nor read from a bool
+    for state in (0.9, 1.0, np.float64(1.0), True, np.bool_(False)):
+        with pytest.raises(ValueError, match="start state must be an integer"):
+            sample_path(even, state, 10, seed=1)
+    assert sample_path(even, np.int32(1), 10, seed=1).states[0] == 1
 
 
 def test_stationary_start_requires_irreducible():
@@ -91,6 +99,51 @@ def test_word_table_hand_count():
 def test_word_table_rejects_overlong_words():
     with pytest.raises(ValueError):
         empirical_word_probs([0, 1], max_len=3, n_symbols=2)
+
+
+def _window_counter(symbols, max_len):
+    s = list(symbols)
+    return Counter(
+        tuple(s[t : t + ell]) for ell in range(1, max_len + 1) for t in range(len(s) - ell + 1)
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_word_table_matches_window_counter(k):
+    symbols = np.random.default_rng(k).integers(0, k, 400)
+    table = empirical_word_probs(symbols, max_len=5, n_symbols=k)
+    assert table.counts == _window_counter(symbols.tolist(), 5)
+    # (length, lexicographic) order, as ``emtool words`` prints it
+    assert list(table.counts) == sorted(table.counts, key=lambda w: (len(w), w))
+
+
+def test_window_codes_are_big_endian_and_in_window_order():
+    symbols = [2, 0, 1, 2]
+    got = [codes.tolist() for codes in window_codes(symbols, 3, 3)]
+    assert got == [[2, 0, 1, 2], [6, 1, 5], [19, 5]]
+    assert decode_word(19, 3, 3) == (2, 0, 1)
+    assert decode_word(0, 2, 5) == (0, 0)
+
+
+def test_word_codes_at_the_int64_limit():
+    # k = 2 fits words of 63 symbols: the all-ones word codes to 2**63 - 1
+    symbols = np.random.default_rng(7).integers(0, 2, 200)
+    symbols[49], symbols[50:113], symbols[113] = 0, 1, 0
+    table = empirical_word_probs(symbols, max_len=63, n_symbols=2)
+    windows = _window_counter(symbols.tolist(), 63)
+    assert table.counts == windows
+    assert table.count((1,) * 63) == 1
+    with pytest.raises(ValueError, match="64-bit"):
+        empirical_word_probs(symbols, max_len=64, n_symbols=2)
+    # k = 20 fits 14 symbols (20**14 < 2**63 < 20**15)
+    symbols = np.random.default_rng(8).integers(0, 20, 400)
+    table = empirical_word_probs(symbols, max_len=14, n_symbols=20)
+    assert table.counts == _window_counter(symbols.tolist(), 14)
+    for max_len in (15, 16):
+        with pytest.raises(ValueError, match="64-bit"):
+            empirical_word_probs(symbols, max_len=max_len, n_symbols=20)
+    with pytest.raises(ValueError, match="64-bit"):
+        next(window_codes(symbols, 15, 20))
 
 
 def test_empirical_frequencies_converge(even):

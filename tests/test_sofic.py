@@ -4,6 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from conftest import label_isomorphic
 from emtool import examples
 from emtool.axioms import SubsetSearch, refine_partition
 from emtool.errors import NotIrreducibleShiftError
@@ -13,7 +14,6 @@ from emtool.sofic import (
     LabeledGraph,
     fischer_cover,
     krieger_states,
-    label_isomorphic,
     minimal_dfa,
     strip_probabilities,
     trim_essential,
