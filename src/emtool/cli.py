@@ -251,9 +251,7 @@ def _print_recon_report(result) -> None:
 def cmd_reconstruct(args) -> int:
     if args.mode == "analytic":
         machine = _load_machine(args.source)
-        result = reconstruct.reconstruct_analytic(
-            machine, depth=args.depth, l_fut=args.lfut, tol=args.tol, cap=args.cap
-        )
+        result = reconstruct.reconstruct_analytic(machine, tol=args.tol, cap=args.cap)
     else:
         symbols, alphabet = _load_sample(args.source, args.alphabet)
         result = reconstruct.reconstruct_empirical(
@@ -362,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = p.add_subparsers(dest="mode", required=True)
     pa = rsub.add_parser("analytic", help="from a machine, via belief closure")
     pa.add_argument("source", metavar="machine")
-    pa.add_argument("--depth", type=int, default=None, help="closure depth (nonunifilar inputs only)")
-    pa.add_argument("--lfut", type=int, default=None, help="future length (nonunifilar inputs only)")
     pa.add_argument("--tol", type=float, default=1e-9)
     pa.add_argument("--cap", type=int, default=4096, help="class cap (nonunifilar inputs only)")
     pa.add_argument("--out", default="-")

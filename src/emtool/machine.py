@@ -94,9 +94,6 @@ class LabeledMatrixMachine:
     def n_symbols(self) -> int:
         return len(self.alphabet)
 
-    def matrix(self, x: int) -> np.ndarray:
-        return self.matrices[x]
-
     def edges(self):
         """Positive-probability edges as (state, symbol, probability, target),
         ordered by state, then symbol, then target (the file order)."""
@@ -191,7 +188,6 @@ class EdgeTables(NamedTuple):
 class ValidationReport:
     ok: bool
     violations: list[str]
-    warnings: list[str]
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,7 @@ def validate(machine: LabeledMatrixMachine, tolerance: float = EPS_STOCH) -> Val
     for x in range(machine.n_symbols):
         if not np.any(m[x] > 0.0):
             violations.append(f"useless symbol {machine.alphabet.symbols[x]} (all-zero matrix)")
-    return ValidationReport(ok=not violations, violations=violations, warnings=[])
+    return ValidationReport(ok=not violations, violations=violations)
 
 
 def require_unifilar(machine: LabeledMatrixMachine) -> None:

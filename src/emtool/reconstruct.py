@@ -52,7 +52,6 @@ class BeliefClass:
     key: np.ndarray  # projection onto the future-distribution span
     word: tuple[int, ...]  # shortest word reaching the class
     successors: dict[int, tuple[float, int]] = field(default_factory=dict)
-    expanded: bool = False
 
 
 @dataclass
@@ -69,22 +68,21 @@ class ReconstructedMachine:
     diagnostics: dict
 
 
-def future_feature_basis(
-    machine: LabeledMatrixMachine, l_fut: int | None = None, tol: float = 1e-10
-) -> np.ndarray:
-    """Orthonormal basis of the span of {T^(w) 1 : |w| <= l_fut}.
+def future_feature_basis(machine: LabeledMatrixMachine, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of the span of {T^(w) 1 : every word w}.
 
-    Two beliefs give every word of length <= l_fut the same probability
-    exactly when their difference is orthogonal to this span, so comparing
-    future word distributions reduces to comparing projections.  The span
-    stabilizes after at most N one-symbol extensions, so any l_fut >= N
-    (None = unbounded) captures the distribution over all futures.
+    Two beliefs give every future word the same probability exactly when
+    their difference is orthogonal to this span, so comparing future word
+    distributions reduces to comparing projections.  Vectors are extended
+    one symbol at a time, breadth-first, and only accepted ones are
+    extended; each length up to the last adds a basis vector, so no
+    accepted vector is longer than N - 1 and the queue empties.
     """
     n = machine.n_states
     basis: list[np.ndarray] = []
-    queue = deque([(np.ones(n), 0)])
+    queue = deque([np.ones(n)])
     while queue:
-        v, length = queue.popleft()
+        v = queue.popleft()
         for b in basis:
             v = v - (b @ v) * b
         norm = np.linalg.norm(v)
@@ -94,10 +92,8 @@ def future_feature_basis(
         basis.append(v)
         if len(basis) == n:
             break
-        if l_fut is not None and length >= l_fut:
-            continue
         for x in range(machine.n_symbols):
-            queue.append((machine.matrices[x] @ v, length + 1))
+            queue.append(machine.matrices[x] @ v)
     return np.column_stack(basis)
 
 
@@ -158,25 +154,23 @@ class _KeyIndex:
         return idx[j] if dists[j] <= self.tol else None
 
 
-def _explore_beliefs(machine, pi, basis, depth, tol, cap):
+def _explore_beliefs(machine, pi, basis, tol, cap):
     """Breadth-first closure of beliefs reachable from ``pi``.
 
     Returns ``(classes, index)``, ``index`` holding the class keys; when the
     class count would exceed ``cap`` the closure raises
-    ClassExplosionError.  Each new belief is compared only with the classes in
-    its own and the two neighbouring buckets of ``index``, so a lookup costs
-    the size of those buckets, not the class count.
+    ClassExplosionError.  Classes are numbered in the order they are found,
+    which is the shortlex order of their words.  Each new belief is compared
+    only with the classes in its own and the two neighbouring buckets of
+    ``index``, so a lookup costs the size of those buckets, not the class
+    count.
     """
     classes: list[BeliefClass] = [BeliefClass(rep=pi, key=pi @ basis, word=())]
     index = _KeyIndex(basis.shape[1], tol)
     index.add(classes[0].key)
     queue = deque([0])
     while queue:
-        ci = queue.popleft()
-        cls = classes[ci]
-        if depth is not None and len(cls.word) >= depth:
-            continue
-        cls.expanded = True
+        cls = classes[queue.popleft()]
         phi = cls.rep
         for x in range(machine.n_symbols):
             un = phi @ machine.matrices[x]
@@ -203,29 +197,20 @@ def _explore_beliefs(machine, pi, basis, depth, tol, cap):
 
 
 def _recurrent_classes(classes):
-    """Indices of the unique terminal strongly connected component made of
-    fully expanded classes; everything else is transient belief."""
-    adj = [
-        sorted({succ for _, succ in c.successors.values()}) if c.expanded else []
-        for c in classes
-    ]
-    terminal = [
-        comp for comp in terminal_components(adj) if all(classes[v].expanded for v in comp)
-    ]
+    """Indices, ascending, of the unique terminal strongly connected
+    component of the class graph; everything else is transient belief."""
+    adj = [sorted({succ for _, succ in c.successors.values()}) for c in classes]
+    terminal = terminal_components(adj)
     if len(terminal) != 1:
         raise ReconstructionError(
             f"expected one recurrent belief component, found {len(terminal)}"
-            " (increase depth or loosen the merge tolerance)"
+            " (loosen the merge tolerance)"
         )
-    return sorted(terminal[0], key=lambda v: (len(classes[v].word), classes[v].word))
+    return terminal[0]
 
 
 def reconstruct_analytic(
-    machine: LabeledMatrixMachine,
-    depth: int | None = None,
-    l_fut: int | None = None,
-    tol: float = 1e-9,
-    cap: int = 4096,
+    machine: LabeledMatrixMachine, tol: float = 1e-9, cap: int = 4096
 ) -> ReconstructedMachine:
     """Recover the past-equivalence machine of the process a machine generates.
 
@@ -235,15 +220,13 @@ def reconstruct_analytic(
     no finite word pins the state exactly.  The machine is therefore the
     quotient ``minimize_unifilar(machine, tol)`` and μ sums π over each
     class.  ``state_words`` and ``n_subsets`` come from ``state_sync_words``
-    on the quotient; ``depth``, ``l_fut`` and ``cap`` play no part.
+    on the quotient; ``cap`` plays no part.
 
     For nonunifilar inputs the states are the recurrent classes of the
     belief closure explored breadth-first from the stationary prior.  Two
-    beliefs share a class when their future word distributions up to length
-    ``l_fut`` (default 2N+2, enough to span all futures) agree within
-    ``tol``, compared via projections onto the future-distribution span,
-    bucketed by ``_KeyIndex``.  ``depth`` bounds the shortest-word length of
-    explored classes (None = closure-bounded) and exceeding ``cap`` raises
+    beliefs share a class when their distributions over all futures agree
+    within ``tol``, compared via projections onto the future-distribution
+    span, bucketed by ``_KeyIndex``.  Exceeding ``cap`` classes raises
     ClassExplosionError, signalling an effectively infinite state set.
 
     ``tol`` must be finite and nonnegative (ValueError otherwise).
@@ -263,10 +246,8 @@ def reconstruct_analytic(
         state_words, n_subsets = state_sync_words(result)
         diagnostics = {"n_classes": result.n_states, "n_subsets": n_subsets}
     else:
-        if l_fut is None:
-            l_fut = 2 * machine.n_states + 2
-        basis = future_feature_basis(machine, l_fut)
-        classes, _ = _explore_beliefs(machine, pi, basis, depth, tol, cap)
+        basis = future_feature_basis(machine)
+        classes, _ = _explore_beliefs(machine, pi, basis, tol, cap)
         recurrent = _recurrent_classes(classes)
         index = {v: i for i, v in enumerate(recurrent)}
         m = len(recurrent)
@@ -281,8 +262,6 @@ def reconstruct_analytic(
             "atlas": BeliefAtlas(classes=classes, basis=basis),
             "n_classes": len(classes),
             "n_transient": len(classes) - m,
-            "depth": depth,
-            "l_fut": l_fut,
         }
     # the closure raises at its cap rather than stopping short, so no atlas
     # is ever truncated; the key stays for readers of the diagnostics
@@ -294,17 +273,32 @@ def reconstruct_analytic(
 
 @dataclass
 class ContextModel:
-    """Sliding-window counts of (past context, length-L future) pairs."""
+    """Sliding-window counts of (past context, length-L future) pairs, kept
+    sparse: one entry per distinct window, ordered by context and then by
+    future."""
 
     l_ctx: int
     l_fut: int
     n_symbols: int
     ctx_codes: np.ndarray  # unique context codes, ascending
     ctx_counts: np.ndarray  # windows per context
-    future_counts: np.ndarray  # (n_contexts, n_symbols ** l_fut)
+    window_ctx: np.ndarray  # per distinct window: its context's index in ctx_codes
+    window_fut: np.ndarray  # per distinct window: its future's code
+    window_counts: np.ndarray  # per distinct window: its occurrences
 
     def decode_context(self, code: int) -> tuple[int, ...]:
         return decode_word(code, self.l_ctx, self.n_symbols)
+
+    def future_rows(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense future counts of the contexts selected by the mask ``keep``,
+        over the futures those contexts show: a (kept contexts, futures)
+        table and the futures' codes, ascending."""
+        sel = keep[self.window_ctx]
+        futures, col = np.unique(self.window_fut[sel], return_inverse=True)
+        row = (np.cumsum(keep) - 1)[self.window_ctx[sel]]
+        table = np.zeros((int(keep.sum()), len(futures)), dtype=np.int64)
+        table[row, col] = self.window_counts[sel]
+        return table, futures
 
 
 def build_context_model(symbols, l_ctx: int, l_fut: int, n_symbols: int) -> ContextModel:
@@ -320,16 +314,16 @@ def build_context_model(symbols, l_ctx: int, l_fut: int, n_symbols: int) -> Cont
     *_, joint = window_codes(symbols, l_ctx + l_fut, k)
     uniq, cnt = np.unique(joint, return_counts=True)
     ctx_of, fut_of = np.divmod(uniq, k**l_fut)
-    ctx_codes, inverse = np.unique(ctx_of, return_inverse=True)
-    future_counts = np.zeros((len(ctx_codes), k**l_fut), dtype=np.int64)
-    future_counts[inverse, fut_of] = cnt
+    ctx_codes, first, inverse = np.unique(ctx_of, return_index=True, return_inverse=True)
     return ContextModel(
         l_ctx=l_ctx,
         l_fut=l_fut,
         n_symbols=k,
         ctx_codes=ctx_codes,
-        ctx_counts=future_counts.sum(axis=1),
-        future_counts=future_counts,
+        ctx_counts=np.add.reduceat(cnt, first),
+        window_ctx=inverse,
+        window_fut=fut_of,
+        window_counts=cnt,
     )
 
 
@@ -477,7 +471,14 @@ def reconstruct_empirical(
     the support of its previous fit, and skips the fit altogether when that
     support is still alive: the optimum is then unchanged.
     ``diagnostics["convex_fits"]`` counts the fits actually solved.
+
+    ``min_count`` must be at least 1 and ``significance`` must lie in (0, 1)
+    (ValueError otherwise).
     """
+    if min_count < 1:
+        raise ValueError(f"min_count must be at least 1, got {min_count}")
+    if not 0.0 < significance < 1.0:  # also rejects nan
+        raise ValueError(f"significance must lie in (0, 1), got {significance}")
     model = build_context_model(symbols, l_ctx, l_fut, n_symbols)
     keep = model.ctx_counts >= min_count
     if not np.any(keep):
@@ -486,7 +487,8 @@ def reconstruct_empirical(
         )
     codes = model.ctx_codes[keep]
     counts = model.ctx_counts[keep]
-    dists = model.future_counts[keep] / counts[:, None]
+    table, futures = model.future_rows(keep)
+    dists = table / counts[:, None]
     n_ctx = len(codes)
 
     # Statistical tolerance per context for the convex-representability test.
@@ -559,7 +561,8 @@ def reconstruct_empirical(
     ctx_radix = k_sym ** (l_ctx - 1)
 
     # Next-symbol counts per context and per state (integers: sums are exact).
-    next_counts = model.future_counts[keep].reshape(n_ctx, k_sym, -1).sum(axis=2)
+    first = futures // k_sym ** (l_fut - 1)
+    next_counts = np.stack([table[:, first == x].sum(axis=1) for x in range(k_sym)], axis=1)
     emis = np.array([next_counts[mem].sum(axis=0) for mem in members], dtype=float)
     mass = emis.sum(axis=1)
     emis_probs = emis / mass[:, None]

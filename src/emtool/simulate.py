@@ -186,8 +186,11 @@ def decode_word(code: int, length: int, n_symbols: int) -> tuple[int, ...]:
 
 
 def empirical_word_probs(symbols, max_len: int, n_symbols: int) -> EmpiricalWordTable:
-    """Sliding-window counts of every word up to ``max_len``."""
+    """Sliding-window counts of every word up to ``max_len``; ValueError for a
+    ``max_len`` below 1 or beyond the sample."""
     length = len(symbols)
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     if max_len > length:
         raise ValueError(f"max_len {max_len} exceeds sample length {length}")
     counts: dict[tuple[int, ...], int] = {}

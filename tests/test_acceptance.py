@@ -118,7 +118,7 @@ def _vertex_grouping(machine, tol):
     """Reference partition: state i joins the first class whose lowest
     member's future-feature-basis row agrees with its own within ``tol``,
     i.e. the two vertex beliefs predict the same future."""
-    basis = future_feature_basis(machine, 2 * machine.n_states + 2)
+    basis = future_feature_basis(machine)
     class_of, reps = [], []
     for i in range(machine.n_states):
         for c, r in enumerate(reps):
@@ -146,7 +146,7 @@ def test_criterion_3_state_words_match_vertex_projection(random_generator_machin
         quotient = minimize_unifilar(machine, tol)
         words = result.diagnostics["state_words"]
         assert words == shortlex_state_words(quotient.target, 12)
-        basis = future_feature_basis(machine, 2 * machine.n_states + 2)
+        basis = future_feature_basis(machine)
         for block, word in zip(quotient.partition.blocks, words):
             phi = belief_of_word(machine, word)
             assert set(np.flatnonzero(phi).tolist()) <= set(block)

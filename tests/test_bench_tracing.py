@@ -5,6 +5,8 @@ one fails here and not only in a benchmark run."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -54,3 +56,12 @@ def test_tracer_observers_read_reconstruction_diagnostics(tracing):
     assert {"belief_classes", "closure_misses", "contexts_kept", "contexts_dropped"} <= set(
         tracer.counters
     )
+
+
+def test_bench_selftest_passes():
+    # the benchmark parses emtool's output; its self-test runs a small
+    # pipeline through the cold CLI and checks every parsed result
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=TRACING.parents[1],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest ok"

@@ -337,6 +337,15 @@ def test_reconstruct_analytic_nonunifilar_report(capsys, tmp_path):
     assert "state words: 0 01" in err.splitlines()
 
 
+@pytest.mark.parametrize("option", ["--depth", "--lfut"])
+def test_reconstruct_analytic_has_no_depth_or_future_length(capsys, even_file, option):
+    # the closure spans all futures and runs to completion or to --cap
+    with pytest.raises(SystemExit) as excinfo:
+        main(["reconstruct", "analytic", even_file, option, "3"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
+
+
 def test_reconstruct_sns_explosion_maps_to_data_error(capsys, tmp_path):
     src = tmp_path / "sns.m"
     save_machine(str(src), examples.sns(0.5, 0.5))
@@ -376,6 +385,9 @@ def sample20(tmp_path):
             ["--lctx", "12", "--lfut", "3"],
             "words of length 15 over 20 symbols do not fit a 64-bit code",
         ),
+        # a dense (contexts x 20**5 futures) table of the sample's contexts
+        # would take 9.3 GiB; its 390 windows are all the model keeps
+        (["--lctx", "6", "--lfut", "5"], "no context of length 6 occurs at least 1000 times"),
     ],
 )
 def test_reconstruct_empirical_bad_window_exits_3(capsys, sample20, window, message):
@@ -391,6 +403,31 @@ def test_words_beyond_64_bit_codes_exit_3(capsys, sample20, max_len):
     assert code == 3
     assert out == ""
     assert err == f"error: words of length {max_len} over 20 symbols do not fit a 64-bit code\n"
+
+
+WORDS, EMPIRICAL = ["words"], ["reconstruct", "empirical"]
+
+
+@pytest.mark.parametrize(
+    "command, option, message",
+    [
+        (WORDS, "--max-len=0", "max_len must be at least 1, got 0"),
+        (WORDS, "--max-len=-2", "max_len must be at least 1, got -2"),
+        (EMPIRICAL, "--min-count=0", "min_count must be at least 1, got 0"),
+        (EMPIRICAL, "--min-count=-5", "min_count must be at least 1, got -5"),
+        (EMPIRICAL, "--sig=0", "significance must lie in (0, 1), got 0.0"),
+        (EMPIRICAL, "--sig=1", "significance must lie in (0, 1), got 1.0"),
+        (EMPIRICAL, "--sig=2", "significance must lie in (0, 1), got 2.0"),
+        (EMPIRICAL, "--sig=-0.5", "significance must lie in (0, 1), got -0.5"),
+        (EMPIRICAL, "--sig=nan", "significance must lie in (0, 1), got nan"),
+        (EMPIRICAL, "--sig=inf", "significance must lie in (0, 1), got inf"),
+    ],
+)
+def test_bad_sample_options_exit_3(capsys, sample20, command, option, message):
+    code, out, err = run(capsys, *command, sample20, option)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_topology_emits(capsys, even_file):
@@ -476,13 +513,14 @@ def test_repeated_main_matches_fresh_processes(tmp_path):
         save_machine(paths[name], machine)
     paths["big"] = str(tmp_path / "big.m")
     Path(paths["big"]).write_text("states 1\nalphabet a\nedge 0 a 1e500 0\n")
+    paths["rec"] = str(tmp_path / "rec.m")
     paths["sample"] = str(tmp_path / "s.txt")
     Path(paths["sample"]).write_text(
         "".join(f"{x}\n" for x in sample_path(examples.even(0.5), "stationary", 20000, 3).symbols)
     )
     calls = [
-        (["reconstruct", "analytic", "{split}", "--lfut", "7", "--cap", "64", "--tol", "1e-6"], 0),
-        # empirical after analytic: its own --lfut default applies
+        (["reconstruct", "analytic", "{split}", "--out", "{rec}", "--cap", "64", "--tol", "1e-6"], 0),
+        # empirical after analytic: its own --out default (stdout) applies
         (["reconstruct", "empirical", "{sample}", "--lctx", "5", "--min-count", "200"], 0),
         (["reconstruct", "analytic", "{split}"], 0),
         (["sample", "{even}", "--len", "5"], 2),  # no --seed
