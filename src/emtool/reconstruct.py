@@ -229,10 +229,13 @@ def reconstruct_analytic(
     span, bucketed by ``_KeyIndex``.  Exceeding ``cap`` classes raises
     ClassExplosionError, signalling an effectively infinite state set.
 
-    ``tol`` must be finite and nonnegative (ValueError otherwise).
+    ``tol`` must be finite and nonnegative and ``cap`` at least 1, on
+    unifilar inputs too (ValueError otherwise).
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     pi = stationary_distribution(machine).pi
 
     if is_unifilar(machine)[0]:
@@ -472,13 +475,15 @@ def reconstruct_empirical(
     support is still alive: the optimum is then unchanged.
     ``diagnostics["convex_fits"]`` counts the fits actually solved.
 
-    ``min_count`` must be at least 1 and ``significance`` must lie in (0, 1)
-    (ValueError otherwise).
+    ``min_count`` must be at least 1, ``significance`` must lie in (0, 1)
+    and ``pool_tol`` must be finite and nonnegative (ValueError otherwise).
     """
     if min_count < 1:
         raise ValueError(f"min_count must be at least 1, got {min_count}")
     if not 0.0 < significance < 1.0:  # also rejects nan
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
+    if not (math.isfinite(pool_tol) and pool_tol >= 0.0):
+        raise ValueError(f"pool_tol must be finite and nonnegative, got {pool_tol}")
     model = build_context_model(symbols, l_ctx, l_fut, n_symbols)
     keep = model.ctx_counts >= min_count
     if not np.any(keep):

@@ -3,6 +3,11 @@
 The RNG is numpy's PCG64 (``np.random.default_rng``).  Substreams for
 independent chains are derived by seeding with ``(seed, chain_index)``, so
 any (machine, start, length, seed) quadruple reproduces bit-identical runs.
+``chain_uniforms`` draws from many substreams at once: it reimplements
+numpy's ``SeedSequence`` mixing and PCG64 step on arrays that hold one chain
+per entry, and gives the same floats as each chain's own
+``default_rng([seed, c]).random()``; ``lockstep_symbols`` walks stationary
+paths on it, the same paths as ``sample_path``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,19 @@ BLOCK = 1 << 16
 # and at 64 (32 states) half as fast at every length.
 BLOCK_MIN_LEN = 1024
 BLOCK_MAX_SLOTS = 16
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
+# holds 4 words of 32 bits, and PCG64 takes 8 of them from it
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_LOW32, _U32 = np.uint64(_MASK32), np.uint64(32)
+# PCG64's 128-bit LCG multiplier, high and low 64 bits, and the low half's
+# 32-bit limbs
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LO_LIMBS = (np.uint64(0x9FCCF645), np.uint64(0x4385DF64))
 
 
 @dataclass
@@ -157,6 +175,146 @@ def _walk_blocks(tables, rng, s: int, length: int):
         states[done + 1 : done + size + 1] = flat_targets[taken]
         s = int(states[done + size])
     return symbols, states
+
+
+def chain_uniforms(seed: int, chains: range):
+    """An endless iterator of arrays, one per draw: entry ``i`` of the
+    ``t``-th array is ``np.random.default_rng([seed, chains[i]]).random(t + 1)[t]``,
+    bit for bit.
+
+    ``chains`` is a range of consecutive chain indices.  Every chain is
+    seeded as ``SeedSequence([seed, c])`` seeds PCG64, on arrays with one
+    entry per chain, and all chains then step in lockstep: one 128-bit LCG
+    step, the XSL-RR output and ``(x >> 11) * 2**-53`` per draw.  A draw
+    costs a few dozen array operations whatever the number of chains, so
+    this pays only for many chains.  It never imports ``numpy.random``,
+    which costs a process about 5 MB.  A negative seed raises the
+    ValueError ``SeedSequence`` raises, here, before any draw."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if chains.step != 1 or not 0 <= chains.start < 1 << 64 or chains.stop > 1 << 64:
+        raise ValueError(f"chains must be consecutive indices below 2**64, got {chains}")
+    seed_words = _words(seed)
+    # chain indices below 2**32 take one 32-bit word, the others two
+    split = min(max(chains.start, 1 << 32), chains.stop)
+    parts = (range(chains.start, split), range(split, chains.stop))
+    states = [_pcg64_seed(seed_words, _chain_words(part)) for part in parts]
+    return _pcg64_draws(*(np.concatenate(arrays) for arrays in zip(*states)))
+
+
+def _pcg64_draws(hi, lo, inc_hi, inc_lo):
+    while True:
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: the halves' xor rotated right by the top 6 state bits
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        yield (x >> np.uint64(11)) * 2.0**-53
+
+
+def lockstep_symbols(machine: LabeledMatrixMachine, seed: int, chains: range):
+    """An endless iterator of the symbols that the chains' stationary walks
+    emit, one array per step: entry ``i`` of the ``t``-th array is
+    ``sample_path(machine, "stationary", t + 1, seed, chain=chains[i]).symbols[t]``.
+
+    All chains walk at once on ``chain_uniforms``.  The start states are
+    ``bisect_right`` over the stationary start table, as in
+    ``sample_path``, and each step's edge is the count of the state's
+    thresholds ``<= total * u``, as in ``_walk_blocks``."""
+    draws = chain_uniforms(seed, chains)
+    start = np.searchsorted(machine._stationary_cdf, next(draws), "right")
+    return _lockstep_walk(machine._edge_tables, start, draws)
+
+
+def _lockstep_walk(tables, s: np.ndarray, draws):
+    width = tables.targets.shape[1]
+    flat_symbols, flat_targets = tables.symbols.ravel(), tables.targets.ravel()
+    thresholds = tables.thresholds.T
+    for u in draws:
+        v = tables.totals[s] * u
+        edge = s * width
+        for j in range(width - 1):
+            edge += thresholds[j][s] <= v
+        s = flat_targets[edge]
+        yield flat_symbols[edge]
+
+
+def _words(value: int) -> list[int]:
+    """``value``'s 32-bit words, least significant first; 0 is one word."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _chain_words(chains: range) -> list[np.ndarray]:
+    """The 32-bit words of chain indices below 2**64 that all take the same number of them."""
+    c = np.arange(len(chains), dtype=np.uint64) + np.uint64(chains.start)
+    return [((c >> np.uint64(32 * j)) & _LOW32).astype(np.uint32) for j in range(len(_words(chains.start)))]
+
+
+def _hash_consts(init: int, mult: int):
+    """``SeedSequence``'s hash constants, as (xor, multiplier) per ``hashmix``."""
+    h = init
+    while True:
+        nxt = h * mult & _MASK32
+        yield np.uint32(h), np.uint32(nxt)
+        h = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _pcg64_seed(seed_words: list[int], chain_words: list[np.ndarray]):
+    """PCG64's state and increment, as (high, low) uint64 arrays, after
+    seeding from ``SeedSequence(seed_words + chain_words)``."""
+    size = len(chain_words[0])
+    entropy = [np.full(size, w, dtype=np.uint32) for w in seed_words] + chain_words
+    zero = np.zeros(size, dtype=np.uint32)
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, consts) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(entropy[src], consts))
+    # generate_state(4, np.uint64): 8 words from the cycled pool, paired little-endian
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    w = [_hashmix(pool[i % _POOL_SIZE], consts).astype(np.uint64) for i in range(8)]
+    state_hi, state_lo, seq_hi, seq_lo = (w[2 * k] | (w[2 * k + 1] << _U32) for k in range(4))
+    one = np.uint64(1)
+    inc_hi = (seq_hi << one) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << one) | one
+    # pcg_setseq_128_srandom_r: step from 0 (which gives inc), add the
+    # initial state, step again
+    lo = inc_lo + state_lo
+    hi = inc_hi + state_hi + (lo < inc_lo)
+    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """``state * MULT + inc`` mod 2**128 on (high, low) uint64 arrays.  The
+    high half of ``lo * MULT_LO`` is summed from 32-bit limb products."""
+    m0, m1 = _PCG_MULT_LO_LIMBS
+    a0, a1 = lo & _LOW32, lo >> _U32
+    p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = a1 * m1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    return new_hi + (new_lo < inc_lo), new_lo
 
 
 def window_codes(symbols, max_len: int, n_symbols: int):

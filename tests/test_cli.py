@@ -421,6 +421,9 @@ WORDS, EMPIRICAL = ["words"], ["reconstruct", "empirical"]
         (EMPIRICAL, "--sig=-0.5", "significance must lie in (0, 1), got -0.5"),
         (EMPIRICAL, "--sig=nan", "significance must lie in (0, 1), got nan"),
         (EMPIRICAL, "--sig=inf", "significance must lie in (0, 1), got inf"),
+        (EMPIRICAL, "--pool-tol=-1", "pool_tol must be finite and nonnegative, got -1.0"),
+        (EMPIRICAL, "--pool-tol=nan", "pool_tol must be finite and nonnegative, got nan"),
+        (EMPIRICAL, "--pool-tol=inf", "pool_tol must be finite and nonnegative, got inf"),
     ],
 )
 def test_bad_sample_options_exit_3(capsys, sample20, command, option, message):
@@ -571,6 +574,19 @@ def test_axioms_needs_no_stationary_solve(capsys, monkeypatch, even_file):
          "error: start state 5 out of range for 2 states"),
         (["sample", "{m}", "--len", "5", "--seed", "1", "--start=-1"],
          "error: start state -1 out of range for 2 states"),
+        (["sync-profile", "{m}", "--horizon", "3", "--chains", "10", "--seed", "1", "--alpha", "2"],
+         "error: alpha must lie in (0, 1), got 2.0"),
+        (["sync-profile", "{m}", "--horizon", "3", "--chains", "10", "--seed", "1", "--alpha", "nan"],
+         "error: alpha must lie in (0, 1), got nan"),
+        (["sync-profile", "{m}", "--horizon", "3", "--chains", "10", "--seed", "1", "--alpha=-1"],
+         "error: alpha must lie in (0, 1), got -1.0"),
+        # a negative seed fails as numpy fails it, on either walk
+        (["sync-profile", "{m}", "--horizon", "3", "--chains", "10", "--seed=-1"],
+         "error: expected non-negative integer"),
+        (["sync-profile", "{m}", "--horizon", "3", "--chains", "500", "--seed=-1"],
+         "error: expected non-negative integer"),
+        (["sync-profile", "{m}", "--horizon", "0", "--chains", "500", "--seed=-1"],
+         "error: expected non-negative integer"),
     ],
 )
 def test_bad_sizes_exit_3_with_plain_message(capsys, even_file, argv, message):
@@ -585,6 +601,18 @@ def test_reconstruct_analytic_rejects_bad_tol(capsys, even_file, tol, shown):
     assert code == 3
     assert out == ""
     assert err.strip() == f"error: tol must be finite and nonnegative, got {shown}"
+
+
+@pytest.mark.parametrize("name", ["even", "sns"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_reconstruct_analytic_rejects_cap_below_one(capsys, tmp_path, name, cap):
+    # even is unifilar, where the cap plays no other part
+    src = tmp_path / f"{name}.m"
+    save_machine(str(src), getattr(examples, name)())
+    code, out, err = run(capsys, "reconstruct", "analytic", str(src), f"--cap={cap}")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == f"error: cap must be at least 1, got {cap}"
 
 
 def test_sync_profile_horizon_zero(capsys, even_file):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,18 +152,57 @@ def _reference_estimate_decay(machine, horizon, n_chains, seed, alpha=0.5):
     )
 
 
+def _assert_same_estimate(got, ref):
+    for field in ("horizon", "n_chains", "alpha", "decay_rate", "alpha_hat"):
+        assert getattr(got, field) == getattr(ref, field)
+    for field in ("mean_doubt", "frac_exceed", "frac_unsynced"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_estimate_decay_matches_per_step_reference(even, abc, np2_minimal, random_generator_machines):
+    # 10 and 60 chains take the per-chain walk, 100 and more the lockstep walk
+    assert 60 < mixed_state.LOCKSTEP_MIN_CHAINS <= 100
+    shapes = [(60, 0), (60, 1), (60, 30), (10, 200), (100, 0), (100, 1), (100, 30)]
     machines = [even, abc, np2_minimal] + random_generator_machines[:8]
     for machine in machines:
         for seed in (1, 2, 3):
-            for horizon in (0, 1, 30):
-                got = estimate_decay(machine, horizon, 60, seed)
-                ref = _reference_estimate_decay(machine, horizon, 60, seed)
-                for field in ("horizon", "n_chains", "alpha", "decay_rate", "alpha_hat"):
-                    assert getattr(got, field) == getattr(ref, field)
-                for field in ("mean_doubt", "frac_exceed", "frac_unsynced"):
-                    a, b = getattr(got, field), getattr(ref, field)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for n_chains, horizon in shapes:
+                got = estimate_decay(machine, horizon, n_chains, seed)
+                _assert_same_estimate(got, _reference_estimate_decay(machine, horizon, n_chains, seed))
+    # the bench's shape on even; the reference takes about 2 s per 5000 chains
+    for machine, n_chains in ((even, 5000), (abc, 1000), (np2_minimal, 1000)):
+        got = estimate_decay(machine, 20, n_chains, 1)
+        _assert_same_estimate(got, _reference_estimate_decay(machine, 20, n_chains, 1))
+
+
+@pytest.mark.parametrize(
+    "n_chains, lockstep",
+    [(1, False), (mixed_state.LOCKSTEP_MIN_CHAINS - 1, False), (mixed_state.LOCKSTEP_MIN_CHAINS, True),
+     (2000, True)],
+)
+def test_estimate_decay_selects_its_walk_by_chain_count(even, monkeypatch, n_chains, lockstep):
+    calls = []
+
+    def counting_sample_path(*args, **kwargs):
+        calls.append(kwargs["chain"])
+        return sample_path(*args, **kwargs)
+
+    monkeypatch.setattr(mixed_state, "sample_path", counting_sample_path)
+    estimate_decay(even, horizon=5, n_chains=n_chains, seed=1)
+    assert calls == ([] if lockstep else list(range(n_chains)))
+
+
+def test_estimate_decay_lockstep_chunks_are_seamless(abc, monkeypatch):
+    whole = estimate_decay(abc, 12, 500, 4)
+    monkeypatch.setattr(mixed_state, "BLOCK", 7)  # chunks of 7 chains, the last of 3
+    _assert_same_estimate(estimate_decay(abc, 12, 500, 4), whole)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2.0, float("nan"), float("inf")])
+def test_estimate_decay_rejects_alpha_outside_unit_interval(even, alpha):
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        estimate_decay(even, horizon=3, n_chains=10, seed=1, alpha=alpha)
 
 
 def test_estimate_decay_updates_each_distinct_step_once(even, monkeypatch):
@@ -188,3 +232,18 @@ def test_unsynced_fraction_matches_exact_support_propagation(request, name):
         est = estimate_decay(machine, horizon=horizon, n_chains=n_chains, seed=3)
         se = np.sqrt(exact * (1.0 - exact) / n_chains)
         assert np.all(np.abs(est.frac_unsynced - exact) <= 5.0 * se + 1e-12)
+
+
+def test_lockstep_estimate_decay_does_not_import_numpy_random():
+    # numpy.random costs a process about 5 MB and 13 ms; the lockstep walk
+    # draws from the in-repo stream, the per-chain walk from numpy's
+    code = (
+        "import sys; from emtool import examples, estimate_decay;"
+        "estimate_decay(examples.even(), 20, {n}, 1);"
+        "print('numpy.random' in sys.modules)"
+    )
+    src = str(Path(mixed_state.__file__).resolve().parents[1])
+    for n_chains, imported in ((500, "False"), (10, "True")):
+        out = subprocess.run([sys.executable, "-c", code.format(n=n_chains)], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == imported

@@ -12,10 +12,13 @@ from emtool.simulate import (
     BLOCK,
     BLOCK_MAX_SLOTS,
     BLOCK_MIN_LEN,
+    _lockstep_walk,
     _walk_blocks,
     _walk_scalar,
+    chain_uniforms,
     decode_word,
     empirical_word_probs,
+    lockstep_symbols,
     sample_path,
     window_codes,
 )
@@ -283,3 +286,55 @@ def test_walks_agree_on_draws_at_thresholds(request):
             blocks = _walk_blocks(tables, _FixedDraws(draws), 0, length)
             assert np.array_equal(scalar[0], blocks[0]), name
             assert np.array_equal(scalar[1], blocks[1]), name
+            lockstep = _lockstep_walk(tables, np.zeros(1, dtype=np.int64), iter(draws[:length, None]))
+            assert np.array_equal(np.concatenate(list(lockstep)), scalar[0]), name
+
+
+def _lockstep_uniforms(seed, chains, n):
+    draws = chain_uniforms(seed, chains)
+    return np.column_stack([next(draws) for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, 123456789, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1, 2**64, 2**64 + 3,
+     2**96 - 1, 2**96, 2**96 + 7, 2**200 + 11],
+)
+def test_chain_uniforms_match_numpy_streams(seed):
+    # the seed and the chain each take one 32-bit word more from 2**32 on,
+    # and the seed one more from 2**64; beyond 4 words in all, SeedSequence
+    # mixes the extra words into its pool in a further loop
+    for chains in (range(0, 1), range(0, 300), range(2**32 - 3, 2**32 + 3),
+                   range(2**32 + 7, 2**32 + 9), range(2**64 - 2, 2**64)):
+        numpy_rows = np.vstack([np.random.default_rng([seed, c]).random(25) for c in chains])
+        assert _lockstep_uniforms(seed, chains, 25).tobytes() == numpy_rows.tobytes(), chains
+
+
+def test_chain_uniforms_of_no_chains():
+    assert next(chain_uniforms(1, range(5, 5))).shape == (0,)
+
+
+def test_chain_uniforms_reject_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError) as theirs:
+        np.random.default_rng([-1, 0])
+    with pytest.raises(ValueError) as ours:
+        chain_uniforms(-1, range(3))  # before the first draw
+    assert str(ours.value) == str(theirs.value) == "expected non-negative integer"
+
+
+@pytest.mark.parametrize(
+    "chains", [range(0, 10, 2), range(-1, 3), range(2**64 - 1, 2**64 + 1), range(2**64, 2**64)]
+)
+def test_chain_uniforms_take_consecutive_chains_below_2_64(chains):
+    with pytest.raises(ValueError, match="consecutive indices below 2"):
+        chain_uniforms(1, chains)
+
+
+@pytest.mark.parametrize("name", ["even", "abc", "np2", "np2_minimal", "sns", "dense", "cycle"])
+def test_lockstep_symbols_match_sample_path(request, name):
+    machine = _machine(request, name)
+    chains, horizon = range(3, 203), 40
+    steps = lockstep_symbols(machine, 17, chains)
+    symbols = np.column_stack([next(steps) for _ in range(horizon)])
+    for row, c in zip(symbols, chains):
+        assert np.array_equal(row, sample_path(machine, "stationary", horizon, 17, chain=c).symbols)
