@@ -44,7 +44,6 @@ from .mixed_state import (
     sync_quantities,
 )
 from .reconstruct import (
-    BeliefAtlas,
     ContextModel,
     ReconstructedMachine,
     reconstruct_analytic,

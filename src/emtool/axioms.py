@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import LabeledMatrixMachine, require_unifilar
+from .machine import LabeledMatrixMachine, require_tolerance, require_unifilar
 
 # Probability vectors are compared entrywise within this tolerance when
 # refining the state partition.
@@ -185,7 +185,9 @@ def distinctness_partition(
     the first block whose lowest member's vector matches entrywise within
     ``tolerance``), then refine by successor blocks to the coarsest
     congruence.  Blocks are sorted, and ordered by lowest member.
+    ``tolerance`` must be finite and nonnegative (ValueError otherwise).
     """
+    require_tolerance(tolerance)
     require_unifilar(machine)
     probs = next_symbol_probs(machine)
     seed = np.empty(machine.n_states, dtype=np.int64)
@@ -214,8 +216,10 @@ def separating_word(machine: LabeledMatrixMachine, i: int, j: int, tolerance: fl
     emission probabilities differ by more than ``tolerance`` or ``x`` is
     defined at one state only: the relation ``distinctness_partition`` is
     seeded and refined with.  Each unordered pair is expanded once, so the
-    search takes O(N^2 k) steps.
+    search takes O(N^2 k) steps.  ``tolerance`` must be finite and
+    nonnegative (ValueError otherwise).
     """
+    require_tolerance(tolerance)
     n = machine.n_states
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"state pair ({i}, {j}) out of range for {n} states")
@@ -246,7 +250,10 @@ def is_generator_em(machine: LabeledMatrixMachine, tolerance: float = EPS_DIST) 
 
     Distinctness is only decidable here for unifilar machines; when
     unifilarity fails it is reported as None (not applicable).
+    ``tolerance`` must be finite and nonnegative (ValueError otherwise),
+    whether or not distinctness is decided.
     """
+    require_tolerance(tolerance)
     witness: dict = {}
     irreducible, sccs = is_irreducible(machine)
     if not irreducible:
@@ -308,11 +315,17 @@ class SubsetSearch:
 
     def word(self, i: int) -> tuple[int, ...]:
         """The shortlex-least word that reaches subset ``i``."""
-        out = []
-        while self.parent[i] is not None:
-            i, x = self.parent[i]
-            out.append(x)
-        return tuple(reversed(out))
+        return parent_word(self.parent, i)
+
+
+def parent_word(parent, i: int) -> tuple[int, ...]:
+    """The word that reaches node ``i`` of a search in which ``parent[j]``
+    is the (node, symbol) step that found node ``j``, None at the root."""
+    out = []
+    while parent[i] is not None:
+        i, x = parent[i]
+        out.append(x)
+    return tuple(reversed(out))
 
 
 def _support_search(machine: LabeledMatrixMachine) -> SubsetSearch:

@@ -3,7 +3,8 @@
 One subcommand per library operation; machine files flow through positional
 arguments with ``-`` meaning standard input/output, so commands compose in
 pipelines.  Exit codes: 0 success (or true), 1 negative result (invalid,
-not isomorphic, axiom failure), 2 usage error, 3 data or validation error.
+not isomorphic, axiom failure), 2 usage error, 3 data or validation error,
+including an allocation that fails (MemoryError).
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EmtoolError, ValueError, OSError) as exc:
+    except (EmtoolError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

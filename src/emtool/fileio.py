@@ -56,7 +56,8 @@ def parse_machine(text: str):
     ``start`` is the state index of a ``start`` line, or None without one.
 
     Explicit zero-probability edges are dropped with a warning rather than
-    rejected.
+    rejected.  A second ``states``, ``alphabet`` or ``start`` line is an
+    error, since it would silently rewrite what earlier lines meant.
     """
     n_states = None
     alphabet = None
@@ -64,12 +65,19 @@ def parse_machine(text: str):
     warnings: list[str] = []
     seen_edges = set()
     start = None
+    header_line: dict[str, int] = {}  # directive -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         kind = fields[0]
+        if kind in ("states", "alphabet", "start"):
+            first = header_line.setdefault(kind, lineno)
+            if first != lineno:
+                raise MachineFormatError(
+                    f"line {lineno}: repeated {kind!r} line (first on line {first})"
+                )
         if kind == "states":
             error = f"line {lineno}: expected 'states <N>' with N >= 1"
             if len(fields) != 2 or (n_states := _parse_index(fields[1], error)) < 1:
@@ -85,7 +93,6 @@ def parse_machine(text: str):
             if len(fields) != 2:
                 raise MachineFormatError(f"line {lineno}: expected 'start <i>'")
             start = _parse_index(fields[1], f"line {lineno}: bad start state {fields[1]!r}")
-            start_line = lineno
         elif kind == "edge":
             if n_states is None or alphabet is None:
                 raise MachineFormatError(
@@ -120,7 +127,7 @@ def parse_machine(text: str):
     if n_states is None or alphabet is None:
         raise MachineFormatError("missing 'states' or 'alphabet' line")
     if start is not None and not 0 <= start < n_states:
-        raise MachineFormatError(f"line {start_line}: start state {start} out of range")
+        raise MachineFormatError(f"line {header_line['start']}: start state {start} out of range")
     if matrices is None:
         matrices = np.zeros((len(alphabet), n_states, n_states))
     machine = LabeledMatrixMachine(n_states=n_states, alphabet=alphabet, matrices=matrices)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .axioms import is_irreducible, next_symbol_probs, unifilar_transitions
 from .errors import NotIrreducibleError
-from .machine import LabeledMatrixMachine, require_unifilar
+from .machine import LabeledMatrixMachine, require_tolerance, require_unifilar
 
 EPS_ISO = 1e-9
 
@@ -65,8 +65,10 @@ def are_isomorphic(
     Anchors state 0 of A against each B state in ascending order and
     propagates the pairing along the transition functions; the first anchor
     that closes into a total bijection wins, which makes the result
-    deterministic.
+    deterministic.  ``tolerance`` must be finite and nonnegative
+    (ValueError otherwise).
     """
+    require_tolerance(tolerance)
     _require_unifilar_irreducible(a, "A")
     _require_unifilar_irreducible(b, "B")
     if a.n_states != b.n_states or a.alphabet.symbols != b.alphabet.symbols:

@@ -8,6 +8,7 @@ the per-symbol matrices is the row-stochastic state-to-state matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -206,7 +207,9 @@ def choice_cdf(dist: np.ndarray) -> list[float]:
 
 def validate(machine: LabeledMatrixMachine, tolerance: float = EPS_STOCH) -> ValidationReport:
     """Check nonnegativity, row stochasticity of the overall matrix, and that
-    no symbol is useless (all-zero matrix).  Report-style: never raises."""
+    no symbol is useless (all-zero matrix).  Report-style: raises only for a
+    bad ``tolerance`` (``require_tolerance``)."""
+    require_tolerance(tolerance)
     violations = []
     m = machine.matrices
     if np.any(m < 0.0):
@@ -223,6 +226,14 @@ def validate(machine: LabeledMatrixMachine, tolerance: float = EPS_STOCH) -> Val
         if not np.any(m[x] > 0.0):
             violations.append(f"useless symbol {machine.alphabet.symbols[x]} (all-zero matrix)")
     return ValidationReport(ok=not violations, violations=violations)
+
+
+def require_tolerance(value: float, name: str = "tolerance") -> None:
+    """Raise ValueError unless the tolerance ``value`` is finite and
+    nonnegative: a negative one or nan fails every comparison, and inf
+    passes every one."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def require_unifilar(machine: LabeledMatrixMachine) -> None:

@@ -15,7 +15,7 @@ from .axioms import (
     unifilar_transitions,
 )
 from .errors import InconsistentBlockError, NotIrreducibleError
-from .machine import LabeledMatrixMachine, require_unifilar
+from .machine import LabeledMatrixMachine, require_tolerance, require_unifilar
 
 
 @dataclass
@@ -36,7 +36,9 @@ def minimize_unifilar(
     must agree within ``tolerance``, and the partition is a congruence, so
     their successor blocks agree).  The result of quotienting a valid
     irreducible unifilar machine is always a generator machine.
+    ``tolerance`` must be finite and nonnegative (ValueError otherwise).
     """
+    require_tolerance(tolerance)
     require_unifilar(machine)
     if not is_irreducible(machine)[0]:
         raise NotIrreducibleError("minimization requires a strongly connected machine")

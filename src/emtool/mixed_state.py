@@ -53,24 +53,30 @@ class DecayEstimate:
     alpha_hat: float
 
 
-def _snap(phi: np.ndarray) -> np.ndarray:
-    phi = np.where(phi < SNAP, 0.0, phi)
-    total = phi.sum()
+def bayes_step(machine: LabeledMatrixMachine, phi: np.ndarray, x: int, floor: float):
+    """The probability ``p`` of symbol ``x`` under belief ``phi`` and the
+    belief conditioned on it, entries below ``SNAP`` zeroed and the rest
+    renormalized; the belief is None when ``p <= floor``."""
+    un = phi @ machine.matrices[x]
+    p = float(un.sum())
+    if p <= floor:
+        return p, None
+    nxt = un / p
+    nxt = np.where(nxt < SNAP, 0.0, nxt)
+    total = nxt.sum()
     if total <= 0.0:
         raise ImpossibleSymbolError("belief mass vanished")
-    return phi / total
+    return p, nxt / total
 
 
 def belief_update(machine: LabeledMatrixMachine, phi, x: int) -> np.ndarray:
     """One Bayes step: condition the belief on the next observed symbol."""
-    phi = np.asarray(phi, dtype=float)
-    nxt = phi @ machine.matrices[x]
-    total = nxt.sum()
-    if total <= 0.0:
+    _, nxt = bayes_step(machine, np.asarray(phi, dtype=float), x, 0.0)
+    if nxt is None:
         raise ImpossibleSymbolError(
             f"symbol {machine.alphabet.symbols[x]} has probability 0 under the current belief"
         )
-    return _snap(nxt / total)
+    return nxt
 
 
 def belief_of_word(machine: LabeledMatrixMachine, word) -> np.ndarray:

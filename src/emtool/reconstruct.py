@@ -10,7 +10,7 @@ Two routes:
   history and generator machines; no belief is explored.  For nonunifilar
   inputs the vertex shortcut is unavailable and the recurrent part of the
   belief closure explored forward from the stationary prior is the state
-  set itself.
+  set itself; it is kept as per-class tables, linear in the class count.
 * ``reconstruct_empirical`` starts from a sampled symbol sequence, estimates
   the conditional future distribution of every frequent past context, and
   recovers the state set as the extreme points of that family: any context
@@ -22,21 +22,20 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import is_unifilar, state_sync_words, terminal_components
+from .axioms import is_unifilar, parent_word, state_sync_words, terminal_components
 from .errors import (
     ClassExplosionError,
     InsufficientDataError,
     NumericalError,
     ReconstructionError,
 )
-from .machine import Alphabet, LabeledMatrixMachine, stationary_distribution
+from .machine import Alphabet, LabeledMatrixMachine, require_tolerance, stationary_distribution
 from .minimize import minimize_unifilar
-from .mixed_state import _snap
+from .mixed_state import bayes_step
 from .simulate import decode_word, window_codes
 
 # Symbol probabilities at or below this are treated as absent edges during
@@ -44,20 +43,6 @@ from .simulate import decode_word, window_codes
 P_FLOOR = 1e-12
 # Weight of the sum-to-one row appended to the convex-fit least squares.
 CONVEX_WEIGHT = 8.0
-
-
-@dataclass
-class BeliefClass:
-    rep: np.ndarray  # representative belief
-    key: np.ndarray  # projection onto the future-distribution span
-    word: tuple[int, ...]  # shortest word reaching the class
-    successors: dict[int, tuple[float, int]] = field(default_factory=dict)
-
-
-@dataclass
-class BeliefAtlas:
-    classes: list[BeliefClass]
-    basis: np.ndarray
 
 
 @dataclass
@@ -76,13 +61,14 @@ def future_feature_basis(machine: LabeledMatrixMachine, tol: float = 1e-10) -> n
     distributions reduces to comparing projections.  Vectors are extended
     one symbol at a time, breadth-first, and only accepted ones are
     extended; each length up to the last adds a basis vector, so no
-    accepted vector is longer than N - 1 and the queue empties.
+    accepted vector is longer than N - 1 and the search ends.  ``tol``
+    must be finite and nonnegative (ValueError otherwise).
     """
+    require_tolerance(tol, "tol")
     n = machine.n_states
     basis: list[np.ndarray] = []
-    queue = deque([np.ones(n)])
-    while queue:
-        v = queue.popleft()
+    queue = [np.ones(n)]
+    for v in queue:  # queue grows as the search runs
         for b in basis:
             v = v - (b @ v) * b
         norm = np.linalg.norm(v)
@@ -157,49 +143,47 @@ class _KeyIndex:
 def _explore_beliefs(machine, pi, basis, tol, cap):
     """Breadth-first closure of beliefs reachable from ``pi``.
 
-    Returns ``(classes, index)``, ``index`` holding the class keys; when the
-    class count would exceed ``cap`` the closure raises
-    ClassExplosionError.  Classes are numbered in the order they are found,
-    which is the shortlex order of their words.  Each new belief is compared
-    only with the classes in its own and the two neighbouring buckets of
-    ``index``, so a lookup costs the size of those buckets, not the class
-    count.
+    Returns ``(reps, parent, succ, index)``: per class its belief, the
+    (class, symbol) step that found it (None for ``pi``) and per symbol a
+    (probability, class) pair, None for probability at most ``P_FLOOR``;
+    ``index`` holds the keys.  Classes are numbered in the order found, the
+    shortlex order of their words (``parent_word``); above ``cap`` classes
+    the closure raises ClassExplosionError.  A new belief is compared only
+    with the classes in its own and the two neighbouring buckets of ``index``.
     """
-    classes: list[BeliefClass] = [BeliefClass(rep=pi, key=pi @ basis, word=())]
+    reps, parent, succ = [pi], [None], []
     index = _KeyIndex(basis.shape[1], tol)
-    index.add(classes[0].key)
-    queue = deque([0])
-    while queue:
-        cls = classes[queue.popleft()]
-        phi = cls.rep
+    index.add(pi @ basis)
+    for c, phi in enumerate(reps):  # reps grows as the closure runs
+        row = []
         for x in range(machine.n_symbols):
-            un = phi @ machine.matrices[x]
-            p = float(un.sum())
-            if p <= P_FLOOR:
+            p, nxt = bayes_step(machine, phi, x, P_FLOOR)
+            if nxt is None:
+                row.append(None)
                 continue
-            nxt = _snap(un / p)  # belief_update's Bayes step, reusing the product
             key = nxt @ basis
             hit = index.nearest(key)
-            if hit is not None:
-                cls.successors[x] = (p, hit)
-                continue
-            if len(classes) >= cap:
-                raise ClassExplosionError(
-                    f"belief-class closure exceeded cap {cap}; the process"
-                    " is not finitely characterized at this resolution",
-                    n_classes=len(classes) + 1,
-                )
-            index.add(key)
-            classes.append(BeliefClass(rep=nxt, key=key, word=cls.word + (x,)))
-            cls.successors[x] = (p, len(classes) - 1)
-            queue.append(len(classes) - 1)
-    return classes, index
+            if hit is None:
+                if len(reps) >= cap:
+                    raise ClassExplosionError(
+                        f"belief-class closure exceeded cap {cap}; the process"
+                        " is not finitely characterized at this resolution",
+                        n_classes=len(reps) + 1,
+                    )
+                hit = len(reps)
+                index.add(key)
+                reps.append(nxt)
+                parent.append((c, x))
+            row.append((p, hit))
+        succ.append(row)
+    return reps, parent, succ, index
 
 
-def _recurrent_classes(classes):
+def _recurrent_classes(succ):
     """Indices, ascending, of the unique terminal strongly connected
-    component of the class graph; everything else is transient belief."""
-    adj = [sorted({succ for _, succ in c.successors.values()}) for c in classes]
+    component of the class graph ``succ``; everything else is transient
+    belief."""
+    adj = [sorted({step[1] for step in row if step is not None}) for row in succ]
     terminal = terminal_components(adj)
     if len(terminal) != 1:
         raise ReconstructionError(
@@ -228,12 +212,13 @@ def reconstruct_analytic(
     within ``tol``, compared via projections onto the future-distribution
     span, bucketed by ``_KeyIndex``.  Exceeding ``cap`` classes raises
     ClassExplosionError, signalling an effectively infinite state set.
+    ``state_words`` are read back through the closure's parent steps.
+    ``atlas_truncated`` is always False: the closure never stops short.
 
     ``tol`` must be finite and nonnegative and ``cap`` at least 1, on
     unifilar inputs too (ValueError otherwise).
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    require_tolerance(tol, "tol")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     pi = stationary_distribution(machine).pi
@@ -250,24 +235,20 @@ def reconstruct_analytic(
         diagnostics = {"n_classes": result.n_states, "n_subsets": n_subsets}
     else:
         basis = future_feature_basis(machine)
-        classes, _ = _explore_beliefs(machine, pi, basis, tol, cap)
-        recurrent = _recurrent_classes(classes)
+        reps, parent, succ, _ = _explore_beliefs(machine, pi, basis, tol, cap)
+        recurrent = _recurrent_classes(succ)
         index = {v: i for i, v in enumerate(recurrent)}
         m = len(recurrent)
         matrices = np.zeros((machine.n_symbols, m, m))
         for v in recurrent:
-            for x, (p, succ) in classes[v].successors.items():
-                matrices[x, index[v], index[succ]] = p
-        state_words = [classes[v].word for v in recurrent]
+            for x, step in enumerate(succ[v]):
+                if step is not None:
+                    p, w = step
+                    matrices[x, index[v], index[w]] = p
+        state_words = [parent_word(parent, v) for v in recurrent]
         result = LabeledMatrixMachine(m, machine.alphabet, matrices)
         mu = stationary_distribution(result).pi
-        diagnostics = {
-            "atlas": BeliefAtlas(classes=classes, basis=basis),
-            "n_classes": len(classes),
-            "n_transient": len(classes) - m,
-        }
-    # the closure raises at its cap rather than stopping short, so no atlas
-    # is ever truncated; the key stays for readers of the diagnostics
+        diagnostics = {"n_classes": len(reps), "n_transient": len(reps) - m}
     diagnostics.update(state_words=state_words, tol=tol, atlas_truncated=False)
     return ReconstructedMachine(
         machine=result, class_probability=mu, provenance="analytic", diagnostics=diagnostics
@@ -482,8 +463,7 @@ def reconstruct_empirical(
         raise ValueError(f"min_count must be at least 1, got {min_count}")
     if not 0.0 < significance < 1.0:  # also rejects nan
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
-    if not (math.isfinite(pool_tol) and pool_tol >= 0.0):
-        raise ValueError(f"pool_tol must be finite and nonnegative, got {pool_tol}")
+    require_tolerance(pool_tol, "pool_tol")
     model = build_context_model(symbols, l_ctx, l_fut, n_symbols)
     keep = model.ctx_counts >= min_count
     if not np.any(keep):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -21,7 +22,9 @@ from emtool.axioms import (
     unifilar_transitions,
 )
 from emtool.errors import NotUnifilarError
-from emtool.machine import Alphabet, LabeledMatrixMachine, word_prob
+from emtool.isomorphism import are_isomorphic
+from emtool.machine import Alphabet, LabeledMatrixMachine, validate, word_prob
+from emtool.minimize import minimize_unifilar
 
 
 def test_even_is_generator(even):
@@ -214,6 +217,26 @@ def test_distinctness_seed_is_not_transitive(ps, blocks):
     machine = _emitter(ps)
     assert distinctness_partition(machine, 1e-3).blocks == blocks
     assert _distinctness_partition_loop(machine, 1e-3) == blocks
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    ["validate", "is_generator_em", "distinctness_partition", "minimize_unifilar",
+     "separating_word", "are_isomorphic"],
+)
+def test_tolerance_must_be_finite_and_nonnegative(np2, entry, tol):
+    calls = {
+        "validate": lambda t: validate(np2, t),
+        "is_generator_em": lambda t: is_generator_em(np2, t),
+        "distinctness_partition": lambda t: distinctness_partition(np2, t),
+        "minimize_unifilar": lambda t: minimize_unifilar(np2, t),
+        "separating_word": lambda t: separating_word(np2, 0, 2, t),
+        "are_isomorphic": lambda t: are_isomorphic(np2, np2, t),
+    }
+    with pytest.raises(ValueError, match=f"^tolerance must be finite and nonnegative, got {tol}$"):
+        calls[entry](tol)
+    calls[entry](0.0)  # zero is an exact comparison, and allowed
 
 
 def test_separating_word(even, np2):

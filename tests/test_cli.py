@@ -587,12 +587,45 @@ def test_axioms_needs_no_stationary_solve(capsys, monkeypatch, even_file):
          "error: expected non-negative integer"),
         (["sync-profile", "{m}", "--horizon", "0", "--chains", "500", "--seed=-1"],
          "error: expected non-negative integer"),
+        # a negative or nan tolerance fails every comparison and inf passes
+        # every one, so none may reach the axioms, minimization or isomorphism
+        *[
+            ([*command, f"--tol={tol}"], f"error: tolerance must be finite and nonnegative, got {shown}")
+            for command in (["validate", "{m}"], ["axioms", "{m}"], ["minimize", "{m}", "-"],
+                            ["isomorphic", "{m}", "{m}"])
+            for tol, shown in (("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"))
+        ],
     ],
 )
 def test_bad_sizes_exit_3_with_plain_message(capsys, even_file, argv, message):
     code, _, err = run(capsys, *[a.format(m=even_file) for a in argv])
     assert code == 3
     assert err.strip() == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "{m}", "--len", str(2**57), "--seed", "1"],
+        ["sync-profile", "{m}", "--horizon", str(2**57), "--chains", "1", "--seed", "1"],
+    ],
+)
+def test_failed_allocation_exits_3(capsys, even_file, argv):
+    # 2**57 eight-byte entries are 1 EiB, beyond any 48- or 57-bit address
+    # space, so the allocation fails at once without touching memory
+    code, out, err = run(capsys, *[a.format(m=even_file) for a in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Unable to allocate 1.00 EiB")
+    assert err.count("\n") == 1
+
+
+def test_repeated_header_line_exits_3(capsys, tmp_path):
+    # the second alphabet would relabel both edges: x y, not a b
+    path = tmp_path / "m.m"
+    path.write_text("states 2\nalphabet a b\nedge 0 a 1 1\nedge 1 b 1 0\nalphabet x y\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: line 5: repeated 'alphabet' line (first on line 2)\n"
 
 
 @pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])

@@ -140,6 +140,33 @@ def test_parse_errors(text, fragment):
         parse_machine(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a second alphabet would relabel every earlier edge
+        ("states 2\nalphabet a b\nedge 0 a 1 1\nedge 1 b 1 0\nalphabet x y\n",
+         "line 5: repeated 'alphabet' line (first on line 2)"),
+        ("states 2\nalphabet a\nstart 0\nedge 0 a 1 1\nedge 1 a 1 0\nstart 1\n",
+         "line 6: repeated 'start' line (first on line 3)"),
+        ("states 2\nalphabet a\nedge 0 a 1 1\nedge 1 a 1 0\nstates 3\n",
+         "line 5: repeated 'states' line (first on line 1)"),
+        # the same value twice is still a second line
+        ("# header\nstates 2\n\nstates 2\nalphabet a\n",
+         "line 4: repeated 'states' line (first on line 2)"),
+    ],
+)
+def test_repeated_header_line_names_both_lines(text, message):
+    with pytest.raises(MachineFormatError) as excinfo:
+        parse_machine(text)
+    assert str(excinfo.value) == message
+
+
+def test_header_lines_in_any_order_parse():
+    text = "start 1\nalphabet a\nstates 2\nedge 0 a 1 1\nedge 1 a 1 0\n"
+    machine, _, start = parse_machine(text)
+    assert (machine.n_states, machine.alphabet.symbols, start) == (2, ("a",), 1)
+
+
 def test_file_round_trip(tmp_path):
     m = examples.abc(0.4, 0.6)
     path = tmp_path / "abc.m"

@@ -1,6 +1,7 @@
 import heapq
 import inspect
 import math
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import all_words, sns_belief_closed_form
 from emtool import examples
-from emtool.axioms import find_sync_word, is_generator_em, unifilar_transitions
+from emtool.axioms import find_sync_word, is_generator_em, parent_word, unifilar_transitions
 from emtool.errors import (
     ClassExplosionError,
     InsufficientDataError,
@@ -27,7 +28,6 @@ from emtool.mixed_state import belief_update
 from emtool.reconstruct import (
     CONVEX_WEIGHT,
     P_FLOOR,
-    BeliefClass,
     _convex_fit_residual,
     _explore_beliefs,
     _KeyIndex,
@@ -93,14 +93,14 @@ def test_analytic_atlas_diagnostics(even):
 
 
 def test_analytic_nonunifilar_diagnostics():
-    # the nonunifilar path keeps its belief-closure atlas and report
+    # the nonunifilar path reports the closure's counts, not its tables
     result = reconstruct_analytic(_split_even())
     diag = result.diagnostics
     assert diag["n_classes"] == 4  # pi, post-"1", and the two vertices
     assert diag["n_transient"] == 2
     assert diag["atlas_truncated"] is False
     assert diag["state_words"] == [(0,), (0, 1)]
-    assert len(diag["atlas"].classes) == 4
+    assert "atlas" not in diag
     assert are_isomorphic(result.machine, examples.even(0.5), tolerance=1e-12)
 
 
@@ -130,12 +130,12 @@ def test_analytic_state_words_agree_with_exact_atlas_words(
         pi = stationary_distribution(machine).pi
         basis = future_feature_basis(machine)
         try:
-            classes, index = _explore_beliefs(machine, pi, basis, tol, 4096)
+            _, parent, _, index = _explore_beliefs(machine, pi, basis, tol, 4096)
         except ClassExplosionError:
             continue
         for c, block in enumerate(quotient.partition.blocks):
             idx, dists = index.candidates(basis[block[0]])
-            hits = [classes[h].word for h, d in zip(idx, dists.tolist()) if d <= tol]
+            hits = [parent_word(parent, h) for h, d in zip(idx, dists.tolist()) if d <= tol]
             if not hits:
                 continue
             atlas_word = min(hits, key=lambda w: (len(w), w))
@@ -314,34 +314,32 @@ def _split_even(p=0.5):
 
 def _explore_beliefs_full_scan(machine, pi, basis, tol, cap):
     """Reference closure without the key index: each new belief is compared
-    with every stored class key."""
-    classes = [BeliefClass(rep=pi, key=pi @ basis, word=())]
-    keys = np.empty((16, basis.shape[1]))
-    keys[0] = classes[0].key
-    queue = deque([0])
-    while queue:
-        cls = classes[queue.popleft()]
-        phi = cls.rep
+    with every stored class key.  Returns ``(reps, parent, succ, keys)``,
+    the tables ``_explore_beliefs`` returns with the keys as one array."""
+    reps, parent, succ, keys = [pi], [None], [], [pi @ basis]
+    c = 0
+    while c < len(reps):
+        phi, row = reps[c], []
         for x in range(machine.n_symbols):
             p = float((phi @ machine.matrices[x]).sum())
             if p <= P_FLOOR:
+                row.append(None)
                 continue
             nxt = belief_update(machine, phi, x)
             key = nxt @ basis
-            dists = np.abs(keys[: len(classes)] - key).max(axis=1)
+            dists = np.abs(np.array(keys) - key).max(axis=1)
             hit = int(np.argmin(dists))
-            if dists[hit] <= tol:
-                cls.successors[x] = (p, hit)
-                continue
-            if len(classes) >= cap:
-                raise ClassExplosionError("cap", n_classes=len(classes) + 1)
-            if len(classes) == len(keys):
-                keys = np.concatenate([keys, np.empty_like(keys)])
-            keys[len(classes)] = key
-            classes.append(BeliefClass(rep=nxt, key=key, word=cls.word + (x,)))
-            cls.successors[x] = (p, len(classes) - 1)
-            queue.append(len(classes) - 1)
-    return classes
+            if dists[hit] > tol:
+                if len(reps) >= cap:
+                    raise ClassExplosionError("cap", n_classes=len(reps) + 1)
+                hit = len(reps)
+                reps.append(nxt)
+                parent.append((c, x))
+                keys.append(key)
+            row.append((p, hit))
+        succ.append(row)
+        c += 1
+    return reps, parent, succ, np.array(keys)
 
 
 def _closure_args(machine, tol, cap):
@@ -361,15 +359,33 @@ def _assert_closures_equal(machine, tol, cap):
             _explore_beliefs(*args)
         assert excinfo.value.n_classes == exc.n_classes
         return False
-    got, index = _explore_beliefs(*args)
-    assert len(got) == len(want) == index.n
-    for g, w in zip(got, want):
-        assert g.rep.tobytes() == w.rep.tobytes()
-        assert g.key.tobytes() == w.key.tobytes()
-        assert (g.word, g.successors) == (w.word, w.successors)
-    shortlex = [(len(c.word), c.word) for c in got]
+    reps, parent, succ, index = _explore_beliefs(*args)
+    want_reps, want_parent, want_succ, want_keys = want
+    assert len(reps) == len(want_reps) == index.n
+    assert [r.tobytes() for r in reps] == [r.tobytes() for r in want_reps]
+    assert index.keys[: index.n].tobytes() == want_keys.tobytes()
+    assert (parent, succ) == (want_parent, want_succ)
+    words = [parent_word(parent, c) for c in range(len(reps))]
+    shortlex = [(len(w), w) for w in words]
     assert all(a < b for a, b in zip(shortlex, shortlex[1:]))
     return True
+
+
+def test_closure_memory_is_linear_in_classes(sns):
+    # sns has infinitely many causal states: the closure fills its cap of
+    # 4096 classes and raises.  Copying each class's word into the class
+    # made the tables quadratic, 68 MiB at this cap; the per-class tables
+    # and parent steps take under 3 MiB.
+    args = _closure_args(sns, 1e-9, 4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClassExplosionError) as excinfo:
+            _explore_beliefs(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert excinfo.value.n_classes == 4097
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.0])
