@@ -62,12 +62,30 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def _write_bytes(path: str, data) -> None:
+    """Write ``data``, a contiguous buffer of ASCII such as a uint8 array,
+    without a copy.  A standard output that takes only text (an in-process
+    caller's ``io.StringIO``) gets it decoded."""
+    if path == "-":
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:
+            sys.stdout.write(bytes(data).decode("ascii"))
+            return
+        sys.stdout.flush()  # keep any text already written ahead of the bytes
+        out.write(data)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+
 def _load_sample(path: str, alphabet_arg: str | None):
     """Sample file: whitespace-separated symbol names.  The alphabet is
     either given explicitly or inferred as the sorted set of tokens.
 
     A file of ASCII whose tokens are all one byte long is mapped through a
-    256-entry table; any other file is split into tokens as UTF-8 text."""
+    256-entry table; any other file is split into tokens as UTF-8 text.
+    Either way the symbols come back in ``simulate.index_dtype`` of the
+    alphabet's size."""
     data = _read_bytes(path)
     raw = np.frombuffer(data, dtype=np.uint8)
     solid = ~_ASCII_SPACE[raw]
@@ -75,7 +93,9 @@ def _load_sample(path: str, alphabet_arg: str | None):
     if one_byte:
         codes = raw[solid]
         n_tokens = codes.size
-        names = [chr(c) for c in np.flatnonzero(np.bincount(codes, minlength=256)).tolist()]
+        seen = np.zeros(256, dtype=bool)
+        seen[codes] = True
+        names = [chr(c) for c in np.flatnonzero(seen).tolist()]
     else:
         tokens = data.decode("utf-8").split()
         n_tokens = len(tokens)
@@ -84,19 +104,19 @@ def _load_sample(path: str, alphabet_arg: str | None):
         raise EmtoolError(f"sample file {path} is empty")
     alphabet = Alphabet(tuple(alphabet_arg.split(",") if alphabet_arg else names))
     index = {s: i for i, s in enumerate(alphabet.symbols)}
+    dtype = simulate.index_dtype(len(alphabet))
     if one_byte:
-        lut = np.full(256, -1, dtype=np.int64)
+        lut = np.zeros(256, dtype=dtype)
+        known = np.zeros(256, dtype=bool)
         for s, i in index.items():
             if len(s) == 1 and ord(s) < 0x80:
-                lut[ord(s)] = i
-        symbols = lut[codes]
-        missing = np.flatnonzero(symbols < 0)
-        if missing.size:
-            bad = chr(codes[missing[0]])
+                lut[ord(s)], known[ord(s)] = i, True
+        if not known[seen].all():
+            bad = chr(codes[np.argmin(known[codes])])
             raise EmtoolError(f"sample token {bad!r} not in alphabet {alphabet.symbols}")
-        return symbols, alphabet
+        return lut[codes], alphabet
     try:
-        symbols = np.array([index[t] for t in tokens], dtype=np.int64)
+        symbols = np.array([index[t] for t in tokens], dtype=dtype)
     except KeyError as exc:
         raise EmtoolError(f"sample token {exc.args[0]!r} not in alphabet {alphabet.symbols}")
     return symbols, alphabet
@@ -178,11 +198,10 @@ def cmd_sample(args) -> int:
         lines = np.empty((len(run.symbols), 2), dtype=np.uint8)
         lines[:, 0] = np.frombuffer("".join(names).encode("ascii"), dtype=np.uint8)[run.symbols]
         lines[:, 1] = ord("\n")
-        text = lines.tobytes().decode("ascii")
+        _write_bytes(args.out, lines)
     else:
         lines = [name + "\n" for name in names]
-        text = "".join([lines[x] for x in run.symbols.tolist()])
-    _write_text(args.out, text)
+        _write_text(args.out, "".join([lines[x] for x in run.symbols.tolist()]))
     return EXIT_OK
 
 

@@ -286,8 +286,8 @@ class ContextModel:
 
 
 def build_context_model(symbols, l_ctx: int, l_fut: int, n_symbols: int) -> ContextModel:
-    """Counts of the (context, future) windows; ValueError for a length below 1
-    or windows beyond 64-bit codes (``window_codes``)."""
+    """Counts of the (context, future) windows; ValueError for a length below 1,
+    windows beyond 64-bit codes or symbols outside the alphabet (``window_codes``)."""
     if l_ctx < 1 or l_fut < 1:
         raise ValueError(f"context and future lengths must be at least 1, got {l_ctx} and {l_fut}")
     if len(symbols) < l_ctx + l_fut:
@@ -297,7 +297,9 @@ def build_context_model(symbols, l_ctx: int, l_fut: int, n_symbols: int) -> Cont
     k = int(n_symbols)
     *_, joint = window_codes(symbols, l_ctx + l_fut, k)
     uniq, cnt = np.unique(joint, return_counts=True)
-    ctx_of, fut_of = np.divmod(uniq, k**l_fut)
+    # the distinct windows are few: widen them so that every code the model
+    # holds is int64, whatever the width of ``joint``
+    ctx_of, fut_of = np.divmod(uniq.astype(np.int64), k**l_fut)
     ctx_codes, first, inverse = np.unique(ctx_of, return_index=True, return_inverse=True)
     return ContextModel(
         l_ctx=l_ctx,

@@ -8,6 +8,10 @@ numpy's ``SeedSequence`` mixing and PCG64 step on arrays that hold one chain
 per entry, and gives the same floats as each chain's own
 ``default_rng([seed, c]).random()``; ``lockstep_symbols`` walks stationary
 paths on it, the same paths as ``sample_path``.
+
+Symbols and states are held in ``index_dtype``, the narrowest unsigned type
+that holds them (uint8 up to 256 states and symbols), and window codes in
+the narrowest unsigned type of at least 16 bits that holds them.
 """
 
 from __future__ import annotations
@@ -44,10 +48,15 @@ _PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF64
 _PCG_MULT_LO_LIMBS = (np.uint64(0x9FCCF645), np.uint64(0x4385DF64))
 
 
+def index_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned type that holds the indices ``0, ..., n - 1``."""
+    return np.min_scalar_type(max(int(n), 1) - 1)
+
+
 @dataclass
 class SampleRun:
-    symbols: np.ndarray  # int array, length L
-    states: np.ndarray  # int array, length L + 1 (includes the initial state)
+    symbols: np.ndarray  # index_dtype(max(states, symbols)), length L
+    states: np.ndarray  # same dtype, length L + 1 (includes the initial state)
     seed: int
     start: np.ndarray  # the initial distribution actually used
 
@@ -94,7 +103,8 @@ def sample_path(
     ``BLOCK_MAX_SLOTS`` padded edge slots (states times the widest
     out-degree) take the block walk (``_walk_blocks``), whose cost grows
     with the slots; every other path takes a scalar loop on plain Python
-    lists, since numpy scalars cost microseconds per step.
+    lists, since numpy scalars cost microseconds per step.  Both fill arrays
+    of ``index_dtype(max(n_states, n_symbols))``.
     """
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
@@ -102,15 +112,16 @@ def sample_path(
     cdf = machine._stationary_cdf if isinstance(start, str) else choice_cdf(dist)
     rng = np.random.default_rng([int(seed), int(chain)])
     tables = machine._edge_tables
+    dtype = index_dtype(max(machine.n_states, machine.n_symbols))
     s = bisect_right(cdf, rng.random())
     if length >= BLOCK_MIN_LEN and tables.targets.size <= BLOCK_MAX_SLOTS:
-        symbols, states = _walk_blocks(tables, rng, s, length)
+        symbols, states = _walk_blocks(tables, rng, s, length, dtype)
     else:
-        symbols, states = _walk_scalar(tables.rows, rng, s, length)
+        symbols, states = _walk_scalar(tables.rows, rng, s, length, dtype)
     return SampleRun(symbols=symbols, states=states, seed=int(seed), start=dist)
 
 
-def _walk_scalar(rows, rng, s: int, length: int):
+def _walk_scalar(rows, rng, s: int, length: int, dtype):
     """One ``bisect_right`` per step over ``EdgeTables.rows``."""
     states = [s]
     symbols = []
@@ -121,10 +132,10 @@ def _walk_scalar(rows, rng, s: int, length: int):
             symbols.append(syms[k])
             s = tgts[k]
             states.append(s)
-    return np.array(symbols, dtype=np.int64), np.array(states, dtype=np.int64)
+    return np.array(symbols, dtype=dtype), np.array(states, dtype=dtype)
 
 
-def _walk_blocks(tables, rng, s: int, length: int):
+def _walk_blocks(tables, rng, s: int, length: int, dtype):
     """The walk of ``_walk_scalar``, one block of draws at a time.
 
     For every state at once, the edge taken at each step is the count of
@@ -136,45 +147,51 @@ def _walk_blocks(tables, rng, s: int, length: int):
     Each block costs O(states x widest out-degree x block) array work and
     two Python loops of about sqrt(block) steps.
     """
-    n, width = tables.targets.shape
     flat_symbols, flat_targets = tables.symbols.ravel(), tables.targets.ravel()
-    row_start = np.arange(0, n * width, width)[:, None]
-    thresholds = tables.thresholds.T[:, :, None]
-    totals = tables.totals[:, None]
-    symbols = np.empty(length, dtype=np.int64)
-    states = np.empty(length + 1, dtype=np.int64)
+    symbols = np.empty(length, dtype=dtype)
+    states = np.empty(length + 1, dtype=dtype)
     states[0] = s
     for done in range(0, length, BLOCK):
-        u = rng.random(min(BLOCK, length - done))
-        size = len(u)
-        chunk = isqrt(size - 1) + 1
-        n_chunks = -(-size // chunk)
-        span = n_chunks * chunk
-        # step g = c * chunk + t is step t of chunk c; zero draws pad the
-        # last chunk and pick valid edges that nothing reads
-        draws = np.zeros(span)
-        draws[:size] = u
-        v = totals * draws
-        edge = np.repeat(row_start, span, axis=1)  # [i, g]: flat edge index
-        for j in range(width - 1):
-            edge += thresholds[j] <= v
-        # a state i is held as i * span, the offset of its row of edge
-        step = (flat_targets[edge] * span).ravel()
-        at_step = np.arange(span).reshape(n_chunks, chunk).T.copy()  # [t, c]: g
-        walks = np.empty((chunk, n, n_chunks), dtype=np.int64)  # [t, i, c]
-        cur = np.repeat(np.arange(0, n * span, span)[:, None], n_chunks, axis=1)
-        for t in range(chunk):
-            walks[t] = cur
-            cur = step[cur + at_step[t]]
-        entry = [s]
-        for exit_of in (cur // span).T[:-1].tolist():
-            entry.append(exit_of[entry[-1]])
-        path = walks[:, entry, np.arange(n_chunks)] + at_step  # [t, c]
-        taken = edge.ravel()[path.T.ravel()[:size]]
-        symbols[done : done + size] = flat_symbols[taken]
-        states[done + 1 : done + size + 1] = flat_targets[taken]
-        s = int(states[done + size])
+        # one call per block: its temporaries are freed before the next
+        taken = _block_edges(tables, s, rng.random(min(BLOCK, length - done)))
+        end = done + len(taken)
+        symbols[done:end] = flat_symbols[taken]
+        states[done + 1 : end + 1] = flat_targets[taken]
+        s = int(states[end])
     return symbols, states
+
+
+def _block_edges(tables, s: int, u: np.ndarray) -> np.ndarray:
+    """The flat edge indices that the walk from state ``s`` takes on the draws ``u``."""
+    n, width = tables.targets.shape
+    size = len(u)
+    chunk = isqrt(size - 1) + 1
+    n_chunks = -(-size // chunk)
+    span = n_chunks * chunk
+    # step g = c * chunk + t is step t of chunk c; zero draws pad the
+    # last chunk and pick valid edges that nothing reads
+    v = np.zeros((n, span))
+    np.multiply(tables.totals[:, None], u, out=v[:, :size])
+    # [i, g]: the flat index of the edge state i takes on draw g
+    edge = np.repeat(np.arange(0, n * width, width)[:, None], span, axis=1)
+    for j in range(width - 1):
+        edge += tables.thresholds[:, j, None] <= v
+    del v  # freed before the walk's own temporaries
+    # a state i is held as i * span, the offset of its row of edge
+    step = tables.targets.ravel()[edge].ravel()
+    step *= span
+    at_step = np.arange(span).reshape(n_chunks, chunk).T.copy()  # [t, c]: g
+    walks = np.empty((chunk, n, n_chunks), dtype=np.int64)  # [t, i, c]
+    cur = np.repeat(np.arange(0, n * span, span)[:, None], n_chunks, axis=1)
+    for t in range(chunk):
+        walks[t] = cur
+        cur = step[cur + at_step[t]]
+    entry = [s]
+    for exit_of in (cur // span).T[:-1].tolist():
+        entry.append(exit_of[entry[-1]])
+    path = walks[:, entry, np.arange(n_chunks)]  # [t, c]
+    path += at_step
+    return edge.ravel()[path.T.ravel()[:size]]
 
 
 def chain_uniforms(seed: int, chains: range):
@@ -320,13 +337,20 @@ def _pcg64_step(hi, lo, inc_hi, inc_lo):
 def window_codes(symbols, max_len: int, n_symbols: int):
     """Yield, for ``ell = 1, ..., max_len``, the big-endian base-``n_symbols`` codes
     of the windows ``symbols[t : t + ell]`` in window order; codes of one length sort
-    as their words do.  Steps run in place on one int64 copy of ``symbols``, so each
-    yielded array is overwritten by the next.  ValueError once ``n_symbols ** max_len > 2**63``."""
+    as their words do.  Steps run in place on one copy of ``symbols`` in the
+    narrowest unsigned type of at least 16 bits that holds ``n_symbols ** max_len - 1``
+    (``np.unique`` is far slower on 8-bit codes), so each yielded array is
+    overwritten by the next.  ValueError once ``n_symbols ** max_len > 2**63``,
+    or for a symbol outside ``0, ..., n_symbols - 1``."""
     k = int(n_symbols)
     if k**max_len > 2**63:
         raise ValueError(f"words of length {max_len} over {k} symbols do not fit a 64-bit code")
-    symbols = np.asarray(symbols, dtype=np.int64)
-    codes = symbols.copy()
+    symbols = np.asarray(symbols)
+    if symbols.size and not 0 <= symbols.min() <= symbols.max() < k:
+        t = int(np.flatnonzero((symbols < 0) | (symbols >= k))[0])
+        raise ValueError(f"symbol {symbols[t]} at position {t} is outside 0..{k - 1}")
+    symbols = symbols.astype(index_dtype(k), copy=False)
+    codes = symbols.astype(np.promote_types(index_dtype(k**max_len), np.uint16))
     for ell in range(1, max_len + 1):
         if ell > 1:
             codes = codes[:-1]

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from emtool.cli import _load_sample, build_parser, main
 from emtool.errors import EmtoolError
 from emtool.fileio import parse_machine, save_machine, serialize_machine
 from emtool.machine import Alphabet, LabeledMatrixMachine
-from emtool.simulate import sample_path
+from emtool.simulate import empirical_word_probs, index_dtype, sample_path
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -183,7 +184,7 @@ def _load_sample_tokens(text, alphabet_arg):
     missing = [t for t in tokens if t not in index]
     if missing:
         raise EmtoolError(f"sample token {missing[0]!r} not in alphabet {alphabet.symbols}")
-    return np.array([index[t] for t in tokens], dtype=np.int64), alphabet
+    return np.array([index[t] for t in tokens], dtype=index_dtype(len(alphabet))), alphabet
 
 
 LOADER_CASES = {
@@ -239,6 +240,27 @@ def test_load_sample_from_stdin(monkeypatch, tmp_path):
     symbols, alphabet = _load_sample("-", None)
     ref_symbols, ref_alphabet = _load_sample(str(path), None)
     assert np.array_equal(symbols, ref_symbols) and alphabet == ref_alphabet
+
+
+def test_load_sample_and_word_count_memory(tmp_path):
+    # a 2 MB file of 10**6 symbols: one-byte symbols and 16-bit window codes;
+    # int64 symbols, codes and a bincount copy took 25.1 MiB
+    run = sample_path(examples.abc(0.4, 0.6), "stationary", 10**6, 1)
+    lines = np.full((10**6, 2), ord("\n"), dtype=np.uint8)
+    lines[:, 0] = run.symbols + ord("0")
+    path = tmp_path / "s.txt"
+    path.write_bytes(lines.tobytes())
+    tracemalloc.start()
+    try:
+        symbols, alphabet = _load_sample(str(path), None)
+        table = empirical_word_probs(symbols, 8, len(alphabet))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
+    assert alphabet.symbols == ("0", "1") and symbols.dtype == np.uint8
+    assert np.array_equal(symbols, run.symbols)
+    assert table.counts == empirical_word_probs(run.symbols.astype(np.int64), 8, 2).counts
 
 
 @pytest.mark.parametrize("names", [("0", "1"), ("b", "a", "~")])
@@ -527,6 +549,7 @@ def test_repeated_main_matches_fresh_processes(tmp_path):
         (["reconstruct", "empirical", "{sample}", "--lctx", "5", "--min-count", "200"], 0),
         (["reconstruct", "analytic", "{split}"], 0),
         (["sample", "{even}", "--len", "5"], 2),  # no --seed
+        (["sample", "{even}", "--len", "3000", "--seed", "4"], 0),  # bytes to a text stdout
         (["validate", "{big}"], 3),
         (["reconstruct", "analytic", "{sns}", "--cap", "20"], 3),
         (["frobnicate"], 2),
@@ -606,13 +629,14 @@ def test_bad_sizes_exit_3_with_plain_message(capsys, even_file, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sample", "{m}", "--len", str(2**57), "--seed", "1"],
+        ["sample", "{m}", "--len", str(2**60), "--seed", "1"],
         ["sync-profile", "{m}", "--horizon", str(2**57), "--chains", "1", "--seed", "1"],
     ],
 )
 def test_failed_allocation_exits_3(capsys, even_file, argv):
-    # 2**57 eight-byte entries are 1 EiB, beyond any 48- or 57-bit address
-    # space, so the allocation fails at once without touching memory
+    # 2**60 one-byte symbols and 2**57 eight-byte doubts are 1 EiB each,
+    # beyond any 48- or 57-bit address space, so the allocation fails at once
+    # without touching memory
     code, out, err = run(capsys, *[a.format(m=even_file) for a in argv])
     assert (code, out) == (3, "")
     assert err.startswith("error: Unable to allocate 1.00 EiB")

@@ -290,6 +290,14 @@ def test_empirical_state_future_matches_machine(even):
             )
 
 
+@pytest.mark.parametrize("bad", [2, -1])
+def test_empirical_rejects_symbols_outside_the_alphabet(bad):
+    symbols = np.tile([0, 1], 500)
+    symbols[7] = bad
+    with pytest.raises(ValueError, match=rf"^symbol {bad} at position 7 is outside 0\.\.1$"):
+        reconstruct_empirical(symbols, 2, l_ctx=2, l_fut=1, min_count=1)
+
+
 def test_empirical_single_context():
     # one frequent context leaves its fit no columns: the NNLS returns zero
     # weights (residual inf) and the context is the one state

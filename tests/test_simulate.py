@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from emtool.simulate import (
     chain_uniforms,
     decode_word,
     empirical_word_probs,
+    index_dtype,
     lockstep_symbols,
     sample_path,
     window_codes,
@@ -149,6 +151,56 @@ def test_word_codes_at_the_int64_limit():
         next(window_codes(symbols, 15, 20))
 
 
+# every width boundary of the codes: k = 2 past 8, 16, 32 bits and at the
+# 63-bit limit, k = 3 past 16 and 32 bits, k = 20 at its limit, and k = 300,
+# whose symbols alone need 16 bits
+@pytest.mark.parametrize(
+    "k, max_len",
+    [(2, 8), (2, 9), (2, 16), (2, 17), (2, 32), (2, 33), (2, 63), (3, 10), (3, 11), (3, 20),
+     (3, 21), (3, 39), (20, 14), (300, 1), (300, 2), (300, 4), (300, 7)],
+)
+def test_window_codes_match_python_ints_at_every_width(k, max_len):
+    symbols = np.random.default_rng(k * 100 + max_len).integers(0, k, 3 * max_len + 20)
+    symbols[max_len : 2 * max_len] = k - 1  # the largest code occurs
+    top = k**max_len - 1
+    s = symbols.tolist()
+    for given in (symbols, symbols.astype(index_dtype(k))):
+        for ell, codes in enumerate(window_codes(given, max_len, k), 1):
+            expected = [
+                sum(x * k ** (ell - 1 - i) for i, x in enumerate(s[t : t + ell]))
+                for t in range(len(s) - ell + 1)
+            ]
+            assert codes.tolist() == expected, ell
+            # unsigned, never below 16 bits, and no wider than the largest code needs
+            assert codes.dtype.kind == "u" and codes.dtype.itemsize >= 2
+            assert top <= np.iinfo(codes.dtype).max
+            assert codes.dtype.itemsize == 2 or top >> (4 * codes.dtype.itemsize)
+        assert max(expected) == top
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_window_codes_reject_symbols_outside_the_alphabet(bad):
+    # 2 was coded as the word (1, 0) and decoded as (0,), overwriting its count
+    symbols = np.array([0, 1, bad, 0, 1])
+    with pytest.raises(ValueError, match=rf"^symbol {bad} at position 2 is outside 0\.\.1$"):
+        empirical_word_probs(symbols, 1, 2)
+    with pytest.raises(ValueError, match=f"symbol {bad} at position 2"):
+        next(window_codes(symbols.tolist(), 3, 2))
+
+
+def test_sample_path_memory(abc):
+    # 10**6 symbols and states of one byte each, plus the block walk's
+    # temporaries; int64 paths took 23.8 MiB
+    tracemalloc.start()
+    try:
+        run = sample_path(abc, "stationary", 10**6, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
+    assert run.symbols.dtype == run.states.dtype == np.uint8
+
+
 def test_empirical_frequencies_converge(even):
     run = sample_path(even, "stationary", 10**5, seed=21)
     table = empirical_word_probs(run.symbols, max_len=3, n_symbols=2)
@@ -244,7 +296,8 @@ def test_sample_path_matches_numpy_reference(request, monkeypatch, name):
             for chain in range(4):
                 symbols, states = _reference_sample_path(machine, start, length, 17, chain)
                 for walk, run in _sample_each_walk(monkeypatch, machine, start, length, 17, chain):
-                    assert run.symbols.dtype == run.states.dtype == np.int64, walk
+                    dtype = index_dtype(max(machine.n_states, machine.n_symbols))
+                    assert run.symbols.dtype == run.states.dtype == dtype == np.uint8, walk
                     assert np.array_equal(run.symbols, symbols), walk
                     assert np.array_equal(run.states, states), walk
 
@@ -282,8 +335,8 @@ def test_walks_agree_on_draws_at_thresholds(request):
         ties = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)], tables.thresholds.ravel()])
         draws = np.random.default_rng(2).choice(ties[np.isfinite(ties)], 3000)
         for length in (1, 3000):
-            scalar = _walk_scalar(tables.rows, _FixedDraws(draws), 0, length)
-            blocks = _walk_blocks(tables, _FixedDraws(draws), 0, length)
+            scalar = _walk_scalar(tables.rows, _FixedDraws(draws), 0, length, np.uint8)
+            blocks = _walk_blocks(tables, _FixedDraws(draws), 0, length, np.uint8)
             assert np.array_equal(scalar[0], blocks[0]), name
             assert np.array_equal(scalar[1], blocks[1]), name
             lockstep = _lockstep_walk(tables, np.zeros(1, dtype=np.int64), iter(draws[:length, None]))
