@@ -4,10 +4,12 @@ The RNG is numpy's PCG64 (``np.random.default_rng``).  Substreams for
 independent chains are derived by seeding with ``(seed, chain_index)``, so
 any (machine, start, length, seed) quadruple reproduces bit-identical runs.
 ``chain_uniforms`` draws from many substreams at once: it reimplements
-numpy's ``SeedSequence`` mixing and PCG64 step on arrays that hold one chain
-per entry, and gives the same floats as each chain's own
-``default_rng([seed, c]).random()``; ``lockstep_symbols`` walks stationary
-paths on it, the same paths as ``sample_path``.
+numpy's ``SeedSequence`` mixing and PCG64 stream on arrays that hold one
+chain per entry, and gives the same floats as each chain's own
+``default_rng([seed, c]).random()``.  It computes them in (steps x chains)
+tiles by PCG64's jump-ahead, so it costs a few array operations per tile
+whether it serves one chain or thousands.  ``lockstep_symbols`` walks
+stationary paths on it, the same paths as ``sample_path``.
 
 Symbols and states are held in ``index_dtype``, the narrowest unsigned type
 that holds them (uint8 up to 256 states and symbols), and window codes in
@@ -33,6 +35,8 @@ BLOCK = 1 << 16
 # and at 64 (32 states) half as fast at every length.
 BLOCK_MIN_LEN = 1024
 BLOCK_MAX_SLOTS = 16
+# Draws per tile of ``chain_uniforms``, summed over its chains
+TILE = 4096
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
 # holds 4 words of 32 bits, and PCG64 takes 8 of them from it
@@ -42,10 +46,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _LOW32, _U32 = np.uint64(_MASK32), np.uint64(32)
-# PCG64's 128-bit LCG multiplier, high and low 64 bits, and the low half's
-# 32-bit limbs
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_PCG_MULT_LO_LIMBS = (np.uint64(0x9FCCF645), np.uint64(0x4385DF64))
+# PCG64's 128-bit LCG multiplier as ``_limbs`` gives it: the high and low
+# words, and the low word's 32-bit limbs
+_PCG_MULT = tuple(map(np.uint64, (0x2360ED051FC65DA4, 0x4385DF649FCCF645, 0x9FCCF645, 0x4385DF64)))
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -194,19 +197,25 @@ def _block_edges(tables, s: int, u: np.ndarray) -> np.ndarray:
     return edge.ravel()[path.T.ravel()[:size]]
 
 
-def chain_uniforms(seed: int, chains: range):
+def chain_uniforms(seed: int, chains: range, draws: int = TILE):
     """An endless iterator of arrays, one per draw: entry ``i`` of the
     ``t``-th array is ``np.random.default_rng([seed, chains[i]]).random(t + 1)[t]``,
     bit for bit.
 
     ``chains`` is a range of consecutive chain indices.  Every chain is
     seeded as ``SeedSequence([seed, c])`` seeds PCG64, on arrays with one
-    entry per chain, and all chains then step in lockstep: one 128-bit LCG
-    step, the XSL-RR output and ``(x >> 11) * 2**-53`` per draw.  A draw
-    costs a few dozen array operations whatever the number of chains, so
-    this pays only for many chains.  It never imports ``numpy.random``,
-    which costs a process about 5 MB.  A negative seed raises the
-    ValueError ``SeedSequence`` raises, here, before any draw."""
+    entry per chain.  The draws are then computed in tiles of ``T`` steps
+    by all chains, with ``T = TILE // len(chains)`` (at least 1) and no more
+    than ``draws``, the number of draws the caller takes.  PCG64 is
+    an LCG on a 128-bit state, so the state ``t`` steps on is
+    ``A_t * s + G_t * inc`` mod 2**128, with ``A_t = MULT**t`` and
+    ``G_t = MULT**(t-1) + ... + 1`` (the jump-ahead of O'Neill's PCG paper).
+    A tile is one 128-bit multiply by the ``A_t`` column, one add of the
+    chains' ``G_t * inc``, the XSL-RR output and ``(x >> 11) * 2**-53`` on a
+    (T, chains) array, so a draw costs a few array operations per tile
+    rather than per step, whatever the number of chains.  It never imports
+    ``numpy.random``, which costs a process about 5 MB.  A negative seed
+    raises the ValueError ``SeedSequence`` raises, here, before any draw."""
     seed = int(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
@@ -217,28 +226,51 @@ def chain_uniforms(seed: int, chains: range):
     split = min(max(chains.start, 1 << 32), chains.stop)
     parts = (range(chains.start, split), range(split, chains.stop))
     states = [_pcg64_seed(seed_words, _chain_words(part)) for part in parts]
-    return _pcg64_draws(*(np.concatenate(arrays) for arrays in zip(*states)))
+    hi, lo, inc_hi, inc_lo = (np.concatenate(arrays) for arrays in zip(*states))
+    steps = max(1, min(draws, TILE // max(len(chains), 1)))
+    return _pcg64_tiles(hi, lo, inc_hi, inc_lo, steps)
 
 
-def _pcg64_draws(hi, lo, inc_hi, inc_lo):
+def _pcg64_tiles(hi, lo, inc_hi, inc_lo, steps: int):
+    a_hi, a_lo, g_hi, g_lo = _jump_tables(steps)
+    mult = _limbs(a_hi[:, None], a_lo[:, None])
+    zero = np.uint64(0)
+    add_hi, add_lo = _mul_add(g_hi[:, None], g_lo[:, None], _limbs(inc_hi, inc_lo), zero, zero)
     while True:
-        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        tile_hi, tile_lo = _mul_add(hi, lo, mult, add_hi, add_lo)  # [t - 1, chain]: s_t
+        hi, lo = tile_hi[-1], tile_lo[-1]
         # XSL-RR: the halves' xor rotated right by the top 6 state bits
-        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x, rot = tile_hi ^ tile_lo, tile_hi >> np.uint64(58)
         x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        yield (x >> np.uint64(11)) * 2.0**-53
+        yield from (x >> np.uint64(11)) * 2.0**-53
 
 
-def lockstep_symbols(machine: LabeledMatrixMachine, seed: int, chains: range):
+def _jump_tables(steps: int):
+    """``A_t`` and ``G_t`` for ``t = 1, ..., steps``, as (high, low) uint64
+    arrays, by doubling: ``A_{n+j} = A_j * A_n`` and ``G_{n+j} = A_j * G_n + G_j``."""
+    a_hi, a_lo = np.array([_PCG_MULT[0]]), np.array([_PCG_MULT[1]])
+    g_hi, g_lo = np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64)
+    while len(a_lo) < steps:
+        j = min(len(a_lo), steps - len(a_lo))
+        a = (a_hi[:j], a_lo[:j])
+        new_a = _mul_add(*a, _limbs(a_hi[-1], a_lo[-1]), np.uint64(0), np.uint64(0))
+        new_g = _mul_add(*a, _limbs(g_hi[-1], g_lo[-1]), g_hi[:j], g_lo[:j])
+        a_hi, a_lo = np.concatenate([a_hi, new_a[0]]), np.concatenate([a_lo, new_a[1]])
+        g_hi, g_lo = np.concatenate([g_hi, new_g[0]]), np.concatenate([g_lo, new_g[1]])
+    return a_hi, a_lo, g_hi, g_lo
+
+
+def lockstep_symbols(machine: LabeledMatrixMachine, seed: int, chains: range, steps: int = TILE):
     """An endless iterator of the symbols that the chains' stationary walks
     emit, one array per step: entry ``i`` of the ``t``-th array is
     ``sample_path(machine, "stationary", t + 1, seed, chain=chains[i]).symbols[t]``.
 
-    All chains walk at once on ``chain_uniforms``.  The start states are
-    ``bisect_right`` over the stationary start table, as in
-    ``sample_path``, and each step's edge is the count of the state's
+    All chains walk at once on ``chain_uniforms``; ``steps``, the number
+    of steps the caller takes, bounds its tiles.  The
+    start states are ``bisect_right`` over the stationary start table, as
+    in ``sample_path``, and each step's edge is the count of the state's
     thresholds ``<= total * u``, as in ``_walk_blocks``."""
-    draws = chain_uniforms(seed, chains)
+    draws = chain_uniforms(seed, chains, steps + 1)
     start = np.searchsorted(machine._stationary_cdf, next(draws), "right")
     return _lockstep_walk(machine._edge_tables, start, draws)
 
@@ -317,21 +349,28 @@ def _pcg64_seed(seed_words: list[int], chain_words: list[np.ndarray]):
     # initial state, step again
     lo = inc_lo + state_lo
     hi = inc_hi + state_hi + (lo < inc_lo)
-    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo)
     return hi, lo, inc_hi, inc_lo
 
 
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """``state * MULT + inc`` mod 2**128 on (high, low) uint64 arrays.  The
-    high half of ``lo * MULT_LO`` is summed from 32-bit limb products."""
-    m0, m1 = _PCG_MULT_LO_LIMBS
+def _limbs(hi, lo):
+    """A 128-bit multiplier as ``_mul_add`` takes it: its high and low
+    words and the low word's 32-bit limbs."""
+    return hi, lo, lo & _LOW32, lo >> _U32
+
+
+def _mul_add(hi, lo, mult, add_hi, add_lo):
+    """``(hi, lo) * mult + (add_hi, add_lo)`` mod 2**128 on uint64 arrays
+    that broadcast, ``mult`` as ``_limbs`` gives it.  The high half of
+    ``lo * mult``'s low word is summed from 32-bit limb products."""
+    m_hi, m_lo, m0, m1 = mult
     a0, a1 = lo & _LOW32, lo >> _U32
     p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
     mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
     carry = a1 * m1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi
-    new_lo = lo * _PCG_MULT_LO + inc_lo
-    return new_hi + (new_lo < inc_lo), new_lo
+    new_hi = hi * m_lo + lo * m_hi + carry + add_hi
+    new_lo = lo * m_lo + add_lo
+    return new_hi + (new_lo < add_lo), new_lo
 
 
 def window_codes(symbols, max_len: int, n_symbols: int):

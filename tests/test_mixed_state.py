@@ -18,7 +18,7 @@ from emtool.mixed_state import (
     estimate_decay,
     sync_quantities,
 )
-from emtool.simulate import sample_path
+from emtool.simulate import TILE, sample_path
 
 ALL_EXAMPLES = ["even", "abc", "np2", "np2_minimal", "sns"]
 
@@ -161,8 +161,6 @@ def _assert_same_estimate(got, ref):
 
 
 def test_estimate_decay_matches_per_step_reference(even, abc, np2_minimal, random_generator_machines):
-    # 10 and 60 chains take the per-chain walk, 100 and more the lockstep walk
-    assert 60 < mixed_state.LOCKSTEP_MIN_CHAINS <= 100
     shapes = [(60, 0), (60, 1), (60, 30), (10, 200), (100, 0), (100, 1), (100, 30)]
     machines = [even, abc, np2_minimal] + random_generator_machines[:8]
     for machine in machines:
@@ -170,27 +168,15 @@ def test_estimate_decay_matches_per_step_reference(even, abc, np2_minimal, rando
             for n_chains, horizon in shapes:
                 got = estimate_decay(machine, horizon, n_chains, seed)
                 _assert_same_estimate(got, _reference_estimate_decay(machine, horizon, n_chains, seed))
+    # one chain, across a tile seam of its draws
+    for machine in (even, abc):
+        for horizon in (0, 1, TILE + 10):
+            got = estimate_decay(machine, horizon, 1, 2)
+            _assert_same_estimate(got, _reference_estimate_decay(machine, horizon, 1, 2))
     # the bench's shape on even; the reference takes about 2 s per 5000 chains
     for machine, n_chains in ((even, 5000), (abc, 1000), (np2_minimal, 1000)):
         got = estimate_decay(machine, 20, n_chains, 1)
         _assert_same_estimate(got, _reference_estimate_decay(machine, 20, n_chains, 1))
-
-
-@pytest.mark.parametrize(
-    "n_chains, lockstep",
-    [(1, False), (mixed_state.LOCKSTEP_MIN_CHAINS - 1, False), (mixed_state.LOCKSTEP_MIN_CHAINS, True),
-     (2000, True)],
-)
-def test_estimate_decay_selects_its_walk_by_chain_count(even, monkeypatch, n_chains, lockstep):
-    calls = []
-
-    def counting_sample_path(*args, **kwargs):
-        calls.append(kwargs["chain"])
-        return sample_path(*args, **kwargs)
-
-    monkeypatch.setattr(mixed_state, "sample_path", counting_sample_path)
-    estimate_decay(even, horizon=5, n_chains=n_chains, seed=1)
-    assert calls == ([] if lockstep else list(range(n_chains)))
 
 
 def test_estimate_decay_lockstep_chunks_are_seamless(abc, monkeypatch):
@@ -234,16 +220,25 @@ def test_unsynced_fraction_matches_exact_support_propagation(request, name):
         assert np.all(np.abs(est.frac_unsynced - exact) <= 5.0 * se + 1e-12)
 
 
-def test_lockstep_estimate_decay_does_not_import_numpy_random():
-    # numpy.random costs a process about 5 MB and 13 ms; the lockstep walk
-    # draws from the in-repo stream, the per-chain walk from numpy's
+def test_lockstep_estimate_decay_does_not_import_numpy_random(tmp_path):
+    # numpy.random costs a process about 5 MB and 13 ms; every walk draws
+    # from the in-repo stream, and sample_path, which needs numpy.random, is
+    # never called
     code = (
         "import sys; from emtool import examples, estimate_decay;"
-        "estimate_decay(examples.even(), 20, {n}, 1);"
+        "[estimate_decay(examples.even(), 20, n, 1) for n in (1, 10, 99, 500)];"
         "print('numpy.random' in sys.modules)"
     )
-    src = str(Path(mixed_state.__file__).resolve().parents[1])
-    for n_chains, imported in ((500, "False"), (10, "True")):
-        out = subprocess.run([sys.executable, "-c", code.format(n=n_chains)], capture_output=True,
-                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == imported
+    env = {**os.environ, "PYTHONPATH": str(Path(mixed_state.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout.strip() == "False"
+    # a cold CLI run: -X importtime lists every module the process imports
+    machine = tmp_path / "even.m"
+    machine.write_text(serialize_machine(examples.even()))
+    argv = ["sync-profile", str(machine), "--horizon", "20", "--chains", "10", "--seed", "1"]
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "emtool.cli", *argv],
+                         capture_output=True, text=True, check=True, env=env)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
+    assert "emtool.mixed_state" in imported and "numpy.random" not in imported
+    assert out.stdout.startswith("t,mean_Q,frac_exceed,frac_unsynced\n1,")

@@ -13,6 +13,7 @@ from emtool.simulate import (
     BLOCK,
     BLOCK_MAX_SLOTS,
     BLOCK_MIN_LEN,
+    TILE,
     _lockstep_walk,
     _walk_blocks,
     _walk_scalar,
@@ -356,11 +357,19 @@ def _lockstep_uniforms(seed, chains, n):
 def test_chain_uniforms_match_numpy_streams(seed):
     # the seed and the chain each take one 32-bit word more from 2**32 on,
     # and the seed one more from 2**64; beyond 4 words in all, SeedSequence
-    # mixes the extra words into its pool in a further loop
-    for chains in (range(0, 1), range(0, 300), range(2**32 - 3, 2**32 + 3),
-                   range(2**32 + 7, 2**32 + 9), range(2**64 - 2, 2**64)):
-        numpy_rows = np.vstack([np.random.default_rng([seed, c]).random(25) for c in chains])
-        assert _lockstep_uniforms(seed, chains, 25).tobytes() == numpy_rows.tobytes(), chains
+    # mixes the extra words into its pool in a further loop.  Draws come in
+    # tiles of TILE // chains steps, so the longer runs cross tile seams:
+    # 1 chain past its first tile, 3 chains past their second, the ranges
+    # near 2**32 (6 and 2 chains) past their first, and TILE - 1, TILE and
+    # TILE + 1 chains across tiles of 2 and 1 steps
+    for chains, n in ((range(0, 1), 25), (range(0, 300), 25), (range(2**32 - 3, 2**32 + 3), 25),
+                      (range(2**32 + 7, 2**32 + 9), 25), (range(2**64 - 2, 2**64), 25),
+                      (range(0, 1), TILE + 5), (range(0, 3), 2 * (TILE // 3) + 5),
+                      (range(2**32 - 3, 2**32 + 3), TILE // 6 + 5),
+                      (range(2**32 + 7, 2**32 + 9), TILE // 2 + 5),
+                      (range(0, TILE - 1), 3), (range(0, TILE), 3), (range(0, TILE + 1), 3)):
+        numpy_rows = np.vstack([np.random.default_rng([seed, c]).random(n) for c in chains])
+        assert _lockstep_uniforms(seed, chains, n).tobytes() == numpy_rows.tobytes(), chains
 
 
 def test_chain_uniforms_of_no_chains():
