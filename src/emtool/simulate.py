@@ -1,15 +1,18 @@
 """Sampling symbol/state paths and empirical word statistics.
 
-The RNG is numpy's PCG64 (``np.random.default_rng``).  Substreams for
-independent chains are derived by seeding with ``(seed, chain_index)``, so
-any (machine, start, length, seed) quadruple reproduces bit-identical runs.
-``chain_uniforms`` draws from many substreams at once: it reimplements
-numpy's ``SeedSequence`` mixing and PCG64 stream on arrays that hold one
-chain per entry, and gives the same floats as each chain's own
-``default_rng([seed, c]).random()``.  It computes them in (steps x chains)
-tiles by PCG64's jump-ahead, so it costs a few array operations per tile
-whether it serves one chain or thousands.  ``lockstep_symbols`` walks
-stationary paths on it, the same paths as ``sample_path``.
+Every draw comes from one in-repo PCG64 stream that reproduces numpy's
+``np.random.default_rng([seed, chain])`` bit for bit: it reimplements
+numpy's ``SeedSequence`` mixing and PCG64 on arrays that hold one chain per
+entry, and numpy, which the tests hold it to, is the oracle rather than the
+implementation.  Substreams for independent chains are derived by seeding
+with ``(seed, chain_index)``, so any (machine, start, length, seed) quadruple
+reproduces bit-identical runs.  ``_pcg64_tiles`` computes the draws in
+(steps x chains) tiles by PCG64's jump-ahead, so it costs a few array
+operations per tile whether it serves one chain or thousands.
+``sample_path`` reads one chain's tiles flat; ``chain_uniforms`` hands out
+many chains' tiles a row at a time, and ``lockstep_symbols`` walks stationary
+paths on it, the same paths as ``sample_path``.  No sampler imports
+``numpy.random``.
 
 Symbols and states are held in ``index_dtype``, the narrowest unsigned type
 that holds them (uint8 up to 256 states and symbols), and window codes in
@@ -35,7 +38,7 @@ BLOCK = 1 << 16
 # and at 64 (32 states) half as fast at every length.
 BLOCK_MIN_LEN = 1024
 BLOCK_MAX_SLOTS = 16
-# Draws per tile of ``chain_uniforms``, summed over its chains
+# Draws per tile of the PCG64 stream, summed over its chains
 TILE = 4096
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
@@ -92,14 +95,19 @@ def sample_path(
 ) -> SampleRun:
     """Weighted random walk emitting ``length`` symbols.
 
-    ``start`` is a state index, a distribution, or "stationary".  The start
-    state is the draw ``rng.choice(n_states, p=dist)`` would make: one
-    ``rng.random()`` inverted over ``dist``'s cumulative sum divided by its
-    last entry (cached per machine for the stationary start).  Then each
-    step inverts one uniform draw over the current state's cumulative
-    outgoing edge probabilities in file order: the first edge whose
-    cumulative sum exceeds the draw times the total, or the last edge.  The
-    draws are ``rng.random(length)``'s stream, taken ``BLOCK`` at a time.
+    ``start`` is a state index, a distribution, or "stationary".  The draws
+    are ``np.random.default_rng([seed, chain]).random()``'s stream, bit for
+    bit, from the in-repo PCG64 tiles (at most ``TILE`` draws per tile, and
+    no more than the ``length + 1`` the walk takes); ``numpy.random`` is
+    never imported.  A negative seed or chain raises the ValueError
+    ``SeedSequence`` raises.  The start state is the draw
+    ``rng.choice(n_states, p=dist)`` would make: one ``random()`` inverted
+    over ``dist``'s cumulative sum divided by its last entry (cached per
+    machine for the stationary start).  Then each step inverts one uniform
+    draw over the current state's cumulative outgoing edge probabilities in
+    file order: the first edge whose cumulative sum exceeds the draw times
+    the total, or the last edge.  The walk takes the draws ``BLOCK`` at a
+    time.
 
     Two walks give the same symbols and states from that stream.  Paths of
     at least ``BLOCK_MIN_LEN`` symbols on machines with at most
@@ -113,7 +121,9 @@ def sample_path(
         raise ValueError(f"length must be nonnegative, got {length}")
     dist = resolve_start(machine, start)
     cdf = machine._stationary_cdf if isinstance(start, str) else choice_cdf(dist)
-    rng = np.random.default_rng([int(seed), int(chain)])
+    chain_words = [np.array([w], dtype=np.uint32) for w in _words(int(chain))]
+    state = _pcg64_seed(_words(int(seed)), chain_words)
+    rng = _Draws(_pcg64_tiles(*state, min(length + 1, TILE)))
     tables = machine._edge_tables
     dtype = index_dtype(max(machine.n_states, machine.n_symbols))
     s = bisect_right(cdf, rng.random())
@@ -122,6 +132,28 @@ def sample_path(
     else:
         symbols, states = _walk_scalar(tables.rows, rng, s, length, dtype)
     return SampleRun(symbols=symbols, states=states, seed=int(seed), start=dist)
+
+
+class _Draws:
+    """One chain's draws from its (steps x 1) PCG64 tiles, served as a
+    numpy ``Generator`` serves them: ``random()`` is the next float and
+    ``random(n)`` an array of the next ``n``."""
+
+    def __init__(self, tiles):
+        self._tiles = tiles
+        self._left = np.empty(0)
+
+    def random(self, size=None):
+        if size is None:
+            return float(self.random(1)[0])
+        parts = []
+        while size > len(self._left):
+            parts.append(self._left)
+            size -= len(self._left)
+            self._left = next(self._tiles).ravel()
+        parts.append(self._left[:size])
+        self._left = self._left[size:]
+        return np.concatenate(parts)
 
 
 def _walk_scalar(rows, rng, s: int, length: int, dtype):
@@ -202,36 +234,37 @@ def chain_uniforms(seed: int, chains: range, draws: int = TILE):
     ``t``-th array is ``np.random.default_rng([seed, chains[i]]).random(t + 1)[t]``,
     bit for bit.
 
-    ``chains`` is a range of consecutive chain indices.  Every chain is
-    seeded as ``SeedSequence([seed, c])`` seeds PCG64, on arrays with one
-    entry per chain.  The draws are then computed in tiles of ``T`` steps
-    by all chains, with ``T = TILE // len(chains)`` (at least 1) and no more
-    than ``draws``, the number of draws the caller takes.  PCG64 is
-    an LCG on a 128-bit state, so the state ``t`` steps on is
-    ``A_t * s + G_t * inc`` mod 2**128, with ``A_t = MULT**t`` and
-    ``G_t = MULT**(t-1) + ... + 1`` (the jump-ahead of O'Neill's PCG paper).
-    A tile is one 128-bit multiply by the ``A_t`` column, one add of the
-    chains' ``G_t * inc``, the XSL-RR output and ``(x >> 11) * 2**-53`` on a
-    (T, chains) array, so a draw costs a few array operations per tile
-    rather than per step, whatever the number of chains.  It never imports
-    ``numpy.random``, which costs a process about 5 MB.  A negative seed
-    raises the ValueError ``SeedSequence`` raises, here, before any draw."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
+    ``chains`` is a range of consecutive chain indices below 2**64.  Every
+    chain is seeded as ``SeedSequence([seed, c])`` seeds PCG64, on arrays
+    with one entry per chain, and the arrays are the rows of
+    ``_pcg64_tiles``: tiles of ``T`` steps by all chains, with
+    ``T = TILE // len(chains)`` (at least 1) and no more than ``draws``, the
+    number of draws the caller takes.  ``sample_path`` reads the same tiles
+    for its one chain.  A negative seed raises the ValueError
+    ``SeedSequence`` raises, here, before any draw."""
+    seed_words = _words(int(seed))
     if chains.step != 1 or not 0 <= chains.start < 1 << 64 or chains.stop > 1 << 64:
         raise ValueError(f"chains must be consecutive indices below 2**64, got {chains}")
-    seed_words = _words(seed)
     # chain indices below 2**32 take one 32-bit word, the others two
     split = min(max(chains.start, 1 << 32), chains.stop)
     parts = (range(chains.start, split), range(split, chains.stop))
     states = [_pcg64_seed(seed_words, _chain_words(part)) for part in parts]
     hi, lo, inc_hi, inc_lo = (np.concatenate(arrays) for arrays in zip(*states))
     steps = max(1, min(draws, TILE // max(len(chains), 1)))
-    return _pcg64_tiles(hi, lo, inc_hi, inc_lo, steps)
+    return (row for tile in _pcg64_tiles(hi, lo, inc_hi, inc_lo, steps) for row in tile)
 
 
 def _pcg64_tiles(hi, lo, inc_hi, inc_lo, steps: int):
+    """An endless iterator of (steps x chains) tiles of the chains' PCG64
+    draws, from their states and increments as ``_pcg64_seed`` gives them.
+
+    PCG64 is an LCG on a 128-bit state, so the state ``t`` steps on is
+    ``A_t * s + G_t * inc`` mod 2**128, with ``A_t = MULT**t`` and
+    ``G_t = MULT**(t-1) + ... + 1`` (the jump-ahead of O'Neill's PCG paper).
+    A tile is one 128-bit multiply by the ``A_t`` column, one add of the
+    chains' ``G_t * inc``, the XSL-RR output and ``(x >> 11) * 2**-53``, so
+    a draw costs a few array operations per tile rather than per step,
+    whatever the number of chains."""
     a_hi, a_lo, g_hi, g_lo = _jump_tables(steps)
     mult = _limbs(a_hi[:, None], a_lo[:, None])
     zero = np.uint64(0)
@@ -242,7 +275,7 @@ def _pcg64_tiles(hi, lo, inc_hi, inc_lo, steps: int):
         # XSL-RR: the halves' xor rotated right by the top 6 state bits
         x, rot = tile_hi ^ tile_lo, tile_hi >> np.uint64(58)
         x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        yield from (x >> np.uint64(11)) * 2.0**-53
+        yield (x >> np.uint64(11)) * 2.0**-53
 
 
 def _jump_tables(steps: int):
@@ -289,7 +322,10 @@ def _lockstep_walk(tables, s: np.ndarray, draws):
 
 
 def _words(value: int) -> list[int]:
-    """``value``'s 32-bit words, least significant first; 0 is one word."""
+    """``value``'s 32-bit words, least significant first; 0 is one word.  A
+    negative seed or chain index raises the ValueError ``SeedSequence`` raises."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
     words = [value & _MASK32]
     while value >> 32:
         value >>= 32

@@ -155,6 +155,52 @@ def test_sample_writer_multichar_symbols(capsys, tmp_path):
     assert out == "".join(machine.alphabet.symbols[x] + "\n" for x in run_.symbols)
 
 
+def _python(*argv):
+    """A fresh interpreter on this checkout's emtool."""
+    env = {**os.environ, "PYTHONPATH": str(Path(emtool.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def test_cold_sample_takes_wide_chains_and_rejects_negative_ones_as_numpy_does(tmp_path):
+    machine, path = examples.abc(0.4, 0.6), tmp_path / "abc.m"
+    save_machine(str(path), machine)
+    with pytest.raises(ValueError) as theirs:
+        np.random.default_rng([1, -1])
+    cold = _python("-m", "emtool.cli", "sample", str(path), "--len", "5", "--seed", "1", "--chain=-1")
+    assert (cold.returncode, cold.stdout, cold.stderr) == (3, "", f"error: {theirs.value}\n")
+    # chains from 2**32 on take two 32-bit words, and from 2**64 on three:
+    # the cold command writes the path that sample_path, held to numpy's
+    # stream in test_simulate, gives in process
+    names = machine.alphabet.symbols
+    for chain in (2**32, 2**64):
+        cold = _python("-m", "emtool.cli", "sample", str(path), "--len", "5000", "--seed", "1",
+                       "--chain", str(chain))
+        symbols = sample_path(machine, "stationary", 5000, 1, chain=chain).symbols
+        assert cold.returncode == 0
+        assert cold.stdout == "".join(names[x] + "\n" for x in symbols.tolist())
+
+
+def test_sample_does_not_import_numpy_random(tmp_path):
+    # numpy.random costs a process about 5 MB; sample_path draws from the
+    # in-repo PCG64 stream on both walks
+    code = (
+        "import sys; from emtool import examples; from emtool.simulate import sample_path;"
+        "[sample_path(examples.abc(0.4, 0.6), 'stationary', n, 1, chain=c)"
+        " for n in (0, 10, 5000) for c in (0, 2**64)];"
+        "print('numpy.random' in sys.modules)"
+    )
+    out = _python("-c", code)
+    assert (out.returncode, out.stdout.strip()) == (0, "False")
+    # a cold CLI run: -X importtime lists every module the process imports
+    path = tmp_path / "abc.m"
+    save_machine(str(path), examples.abc(0.4, 0.6))
+    cold = _python("-X", "importtime", "-m", "emtool.cli", "sample", str(path), "--len", "10",
+                   "--seed", "1")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in cold.stderr.splitlines()}
+    assert cold.returncode == 0 and len(cold.stdout.splitlines()) == 10
+    assert "emtool.simulate" in imported and "numpy.random" not in imported
+
+
 def test_reconstruct_empirical_runs_without_scipy(capsys, tmp_path, even_file):
     # emtool never imports scipy: with scipy unimportable, a cold
     # `reconstruct empirical` prints what the in-process call prints
@@ -597,6 +643,10 @@ def test_axioms_needs_no_stationary_solve(capsys, monkeypatch, even_file):
          "error: start state 5 out of range for 2 states"),
         (["sample", "{m}", "--len", "5", "--seed", "1", "--start=-1"],
          "error: start state -1 out of range for 2 states"),
+        (["sample", "{m}", "--len", "5", "--seed", "1", "--chain=-1"],
+         "error: expected non-negative integer"),
+        (["sample", "{m}", "--len", "0", "--seed=-1", "--chain", str(2**64)],
+         "error: expected non-negative integer"),
         (["sync-profile", "{m}", "--horizon", "3", "--chains", "10", "--seed", "1", "--alpha", "2"],
          "error: alpha must lie in (0, 1), got 2.0"),
         (["sync-profile", "{m}", "--horizon", "3", "--chains", "10", "--seed", "1", "--alpha", "nan"],

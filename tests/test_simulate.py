@@ -304,16 +304,42 @@ def test_sample_path_matches_numpy_reference(request, monkeypatch, name):
 
 
 def test_sample_path_blocks_match_numpy_reference(request, monkeypatch):
-    # lengths around the block size of the uniform draws; the reference path
-    # of one length is a prefix of that of any longer length on one stream
-    longest = 2 * BLOCK + 3
+    # lengths around the real tile and block sizes, on abc's block walk and
+    # dense's scalar walk.  The start draw is the first of the first tile,
+    # so every block of the walk straddles a tile seam, and the draws carry
+    # across seams that a small block never reaches.  The reference path of
+    # one length is a prefix of that of any longer length on one stream
+    longest = 3 * BLOCK + 7
     for name in ("abc", "dense"):
         machine = _machine(request, name)
         symbols, states = _reference_sample_path(machine, "stationary", longest, 17, 1)
-        for length in (BLOCK - 1, BLOCK, BLOCK + 1, longest):
+        for length in (TILE - 2, TILE - 1, TILE, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
+                       longest):
             for walk, run in _sample_each_walk(monkeypatch, machine, "stationary", length, 17, 1):
                 assert np.array_equal(run.symbols, symbols[:length]), (name, walk)
                 assert np.array_equal(run.states, states[: length + 1]), (name, walk)
+
+
+@pytest.mark.parametrize("seed", [17, 2**64, 2**64 + 3, 2**96 + 1])
+def test_sample_path_matches_numpy_at_wide_seeds_and_chains(abc, seed):
+    # a seed or chain takes a second 32-bit word from 2**32 on and a third
+    # from 2**64 on, past chain_uniforms's chains: sample_path seeds its one
+    # chain from the chain index's own words, however many
+    length = TILE + 10
+    for chain in (2**32 - 1, 2**32, 2**64, 2**96 + 5):
+        symbols, states = _reference_sample_path(abc, "stationary", length, seed, chain)
+        run = sample_path(abc, "stationary", length, seed, chain=chain)
+        assert np.array_equal(run.symbols, symbols), chain
+        assert np.array_equal(run.states, states), chain
+
+
+@pytest.mark.parametrize("seed, chain", [(-1, 0), (0, -1), (-5, 2**64), (-1, -1)])
+def test_sample_path_rejects_a_negative_seed_or_chain_as_numpy_does(even, seed, chain):
+    with pytest.raises(ValueError) as theirs:
+        np.random.default_rng([seed, chain])
+    with pytest.raises(ValueError) as ours:
+        sample_path(even, "stationary", 0, seed, chain=chain)
+    assert str(ours.value) == str(theirs.value) == "expected non-negative integer"
 
 
 class _FixedDraws:
