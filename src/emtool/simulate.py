@@ -1,7 +1,7 @@
 """Sampling symbol/state paths and empirical word statistics.
 
 Every draw comes from one in-repo PCG64 stream that reproduces numpy's
-``np.random.default_rng([seed, chain])`` bit for bit: it reimplements
+``default_rng([seed, chain])`` bit for bit: it reimplements
 numpy's ``SeedSequence`` mixing and PCG64 on arrays that hold one chain per
 entry, and numpy, which the tests hold it to, is the oracle rather than the
 implementation.  Substreams for independent chains are derived by seeding
@@ -96,7 +96,7 @@ def sample_path(
     """Weighted random walk emitting ``length`` symbols.
 
     ``start`` is a state index, a distribution, or "stationary".  The draws
-    are ``np.random.default_rng([seed, chain]).random()``'s stream, bit for
+    are numpy's ``default_rng([seed, chain]).random()`` stream, bit for
     bit, from the in-repo PCG64 tiles (at most ``TILE`` draws per tile, and
     no more than the ``length + 1`` the walk takes); ``numpy.random`` is
     never imported.  A negative seed or chain raises the ValueError
@@ -231,7 +231,7 @@ def _block_edges(tables, s: int, u: np.ndarray) -> np.ndarray:
 
 def chain_uniforms(seed: int, chains: range, draws: int = TILE):
     """An endless iterator of arrays, one per draw: entry ``i`` of the
-    ``t``-th array is ``np.random.default_rng([seed, chains[i]]).random(t + 1)[t]``,
+    ``t``-th array is numpy's ``default_rng([seed, chains[i]]).random(t + 1)[t]``,
     bit for bit.
 
     ``chains`` is a range of consecutive chain indices below 2**64.  Every
