@@ -233,11 +233,7 @@ def separating_word(machine: LabeledMatrixMachine, i: int, j: int, tolerance: fl
         a, b = pair
         for x, (sa, sb) in enumerate(zip(delta[a], delta[b])):
             if (sa < 0) != (sb < 0) or abs(probs[a][x] - probs[b][x]) > tolerance:
-                word = [x]
-                while parent[pair] is not None:
-                    pair, y = parent[pair]
-                    word.append(y)
-                return tuple(reversed(word))
+                return parent_word(parent, pair) + (x,)
             nxt = (min(sa, sb), max(sa, sb))
             if sa >= 0 and sa != sb and nxt not in parent:
                 parent[nxt] = (pair, x)
@@ -329,7 +325,6 @@ def parent_word(parent, i: int) -> tuple[int, ...]:
 
 
 def _support_search(machine: LabeledMatrixMachine) -> SubsetSearch:
-    require_unifilar(machine)
     succ = [[() if j < 0 else (j,) for j in row] for row in machine._delta.tolist()]
     return SubsetSearch(succ, machine.n_symbols)
 

@@ -141,23 +141,23 @@ class LabeledMatrixMachine:
     def _edge_tables(self) -> EdgeTables:
         """``sample_path``'s tables of each state's outgoing edges in file
         order (symbol-major, then target); see ``EdgeTables``."""
-        rows = []
+        edges = []
         for i in range(self.n_states):
             xs, js = np.nonzero(self.matrices[:, i, :] > 0.0)
             if xs.size == 0:
                 raise ValueError(f"state {i} has no outgoing edges")
-            cum = np.cumsum(self.matrices[xs, i, js]).tolist()
-            rows.append((cum, cum[-1], len(cum) - 1, xs.tolist(), js.tolist()))
-        width = max(len(row[0]) for row in rows)
+            edges.append((np.cumsum(self.matrices[xs, i, js]), xs, js))
+        width = max(len(xs) for _, xs, _ in edges)
         thresholds = np.full((self.n_states, width - 1), np.inf)
+        totals = np.empty(self.n_states)
         symbols = np.zeros((self.n_states, width), dtype=np.int64)
         targets = np.zeros((self.n_states, width), dtype=np.int64)
-        for i, (cum, _, last, xs, js) in enumerate(rows):
-            thresholds[i, :last] = cum[:last]
-            symbols[i, : last + 1] = xs
-            targets[i, : last + 1] = js
-        totals = np.array([row[1] for row in rows])
-        return EdgeTables(rows, thresholds, totals, symbols, targets)
+        for i, (cum, xs, js) in enumerate(edges):
+            thresholds[i, : len(cum) - 1] = cum[:-1]
+            totals[i] = cum[-1]
+            symbols[i, : len(xs)] = xs
+            targets[i, : len(js)] = js
+        return EdgeTables(thresholds, totals, symbols, targets)
 
     @cached_property
     def _stationary_cdf(self) -> list[float]:
@@ -166,19 +166,17 @@ class LabeledMatrixMachine:
 
 
 class EdgeTables(NamedTuple):
-    """The sampler's tables of each state's outgoing edges.
+    """The sampler's tables of each state's outgoing edges, padded to the
+    widest out-degree W.
 
-    ``rows[i]`` is ``(cum, total, last, symbols, targets)`` in plain Python
-    lists and floats, for the scalar loop: the cumulative edge
-    probabilities, their total ``cum[-1]``, the last edge index, and the
-    edges' symbols and targets.  The arrays hold the same for the block
-    walk, padded to the widest out-degree W: ``thresholds`` (N, W - 1) is
-    ``cum[:last]`` followed by +inf, ``totals`` (N,) the totals, and
-    ``symbols`` and ``targets`` (N, W) the edges followed by zeros.  The
-    count of a row's thresholds that are ``<= u * total`` is then the edge
-    ``bisect_right(cum, u * total, 0, last)`` picks."""
+    ``thresholds`` (N, W - 1) holds a state's cumulative edge probabilities
+    but the last, followed by +inf; ``totals`` (N,) the last, the total; and
+    ``symbols`` and ``targets`` (N, W) the edges' symbols and targets,
+    followed by zeros.  The count of a row's thresholds that are
+    ``<= u * total`` is then the edge that inverting ``u`` over the
+    cumulative sum picks: the first whose sum exceeds ``u * total``, or the
+    last edge."""
 
-    rows: list[tuple]
     thresholds: np.ndarray
     totals: np.ndarray
     symbols: np.ndarray

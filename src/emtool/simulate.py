@@ -14,6 +14,11 @@ many chains' tiles a row at a time, and ``lockstep_symbols`` walks stationary
 paths on it, the same paths as ``sample_path``.  No sampler imports
 ``numpy.random``.
 
+Every walk picks a state's edge from its row of ``EdgeTables``.
+``_lockstep_walk`` is the one array form of that step: it serves
+``lockstep_symbols``'s chains and ``sample_path``'s block walk, which walks
+every chunk of a block from every state at once.
+
 Symbols and states are held in ``index_dtype``, the narrowest unsigned type
 that holds them (uint8 up to 256 states and symbols), and window codes in
 the narrowest unsigned type of at least 16 bits that holds them.
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -33,13 +37,17 @@ from .machine import LabeledMatrixMachine, choice_cdf, resolve_start
 # at once without changing the stream.
 BLOCK = 1 << 16
 # The block walk's selection (see ``sample_path``).  Measured on a 2-vCPU
-# x86-64 host: with at most 16 slots it beats the scalar loop from about 500
-# symbols (3-5x at 10^6 on 2-4 states); at 32 slots it is even or slower,
-# and at 64 (32 states) half as fast at every length.
+# x86-64 host: with 4 to 16 slots it is even with the scalar loop between
+# 1024 and 2048 symbols and 2.5-3.5x as fast at 2 * 10^5; at 32 slots it is
+# 1.3-1.9x as fast, at 64 even or slower, and at 128 2-3x slower.
 BLOCK_MIN_LEN = 1024
 BLOCK_MAX_SLOTS = 16
 # Draws per tile of the PCG64 stream, summed over its chains
 TILE = 4096
+# Draws per chunk of the block walk (see ``_walk_blocks``): 32 and 64 are
+# even at 10^6 symbols on 4 to 16 slots, and 32 is the faster near
+# ``BLOCK_MIN_LEN``.
+CHUNK = 32
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
 # holds 4 words of 32 bits, and PCG64 takes 8 of them from it
@@ -130,7 +138,7 @@ def sample_path(
     if length >= BLOCK_MIN_LEN and tables.targets.size <= BLOCK_MAX_SLOTS:
         symbols, states = _walk_blocks(tables, rng, s, length, dtype)
     else:
-        symbols, states = _walk_scalar(tables.rows, rng, s, length, dtype)
+        symbols, states = _walk_scalar(tables, rng, s, length, dtype)
     return SampleRun(symbols=symbols, states=states, seed=int(seed), start=dist)
 
 
@@ -156,14 +164,17 @@ class _Draws:
         return np.concatenate(parts)
 
 
-def _walk_scalar(rows, rng, s: int, length: int, dtype):
-    """One ``bisect_right`` per step over ``EdgeTables.rows``."""
+def _walk_scalar(tables, rng, s: int, length: int, dtype):
+    """One ``bisect_right`` per step over the state's row of
+    ``tables.thresholds``, on plain Python lists; the +inf padding keeps
+    the count within the state's edges."""
+    rows = list(zip(*(table.tolist() for table in tables)))
     states = [s]
     symbols = []
     for done in range(0, length, BLOCK):
         for u in rng.random(min(BLOCK, length - done)).tolist():
-            cum, total, last, syms, tgts = rows[s]
-            k = bisect_right(cum, u * total, 0, last)  # clamped to the last edge
+            thresholds, total, syms, tgts = rows[s]
+            k = bisect_right(thresholds, u * total)
             symbols.append(syms[k])
             s = tgts[k]
             states.append(s)
@@ -173,60 +184,39 @@ def _walk_scalar(rows, rng, s: int, length: int, dtype):
 def _walk_blocks(tables, rng, s: int, length: int, dtype):
     """The walk of ``_walk_scalar``, one block of draws at a time.
 
-    For every state at once, the edge taken at each step is the count of
-    the state's thresholds ``<= total * u``: the product and comparisons of
-    ``bisect_right``.  The block is cut into about sqrt(block) chunks, and
-    every chunk is walked from every state, all in lockstep.  The chunk
-    entry states are then chained through these walks' exit states in
-    Python, and each chunk's path is the recorded walk from its entry state.
-    Each block costs O(states x widest out-degree x block) array work and
-    two Python loops of about sqrt(block) steps.
+    A block is cut into chunks of ``CHUNK`` draws (zero draws pad the last
+    one, and the edges they pick are never read), and ``_lockstep_walk``
+    walks every chunk from every state at once, recording the edges taken
+    in ``index_dtype`` of the slots.  The chunk entry states are then
+    chained through these walks' exit states in Python, and the path is the
+    recorded walk of each chunk from its entry state.  Each block costs
+    O(states x widest out-degree x block) array work in ``CHUNK`` array
+    steps, and a Python loop of block / ``CHUNK`` steps.
     """
+    n, width = tables.targets.shape
     flat_symbols, flat_targets = tables.symbols.ravel(), tables.targets.ravel()
     symbols = np.empty(length, dtype=dtype)
     states = np.empty(length + 1, dtype=dtype)
     states[0] = s
     for done in range(0, length, BLOCK):
-        # one call per block: its temporaries are freed before the next
-        taken = _block_edges(tables, s, rng.random(min(BLOCK, length - done)))
-        end = done + len(taken)
+        size = min(BLOCK, length - done)
+        n_chunks = -(-size // CHUNK)
+        u = np.zeros(n_chunks * CHUNK)
+        u[:size] = rng.random(size)
+        # [t, i, c]: the edge of step t of chunk c walked from state i
+        edges = np.empty((CHUNK, n, n_chunks), dtype=index_dtype(n * width))
+        grid = np.repeat(np.arange(n)[:, None], n_chunks, axis=1)
+        for t, edge in enumerate(_lockstep_walk(tables, grid, u.reshape(n_chunks, CHUNK).T)):
+            edges[t] = edge
+        entry = [s]
+        for exit_of in flat_targets[edges[-1, :, :-1]].T.tolist():
+            entry.append(exit_of[entry[-1]])
+        taken = edges[:, entry, np.arange(n_chunks)].T.ravel()[:size]
+        end = done + size
         symbols[done:end] = flat_symbols[taken]
         states[done + 1 : end + 1] = flat_targets[taken]
         s = int(states[end])
     return symbols, states
-
-
-def _block_edges(tables, s: int, u: np.ndarray) -> np.ndarray:
-    """The flat edge indices that the walk from state ``s`` takes on the draws ``u``."""
-    n, width = tables.targets.shape
-    size = len(u)
-    chunk = isqrt(size - 1) + 1
-    n_chunks = -(-size // chunk)
-    span = n_chunks * chunk
-    # step g = c * chunk + t is step t of chunk c; zero draws pad the
-    # last chunk and pick valid edges that nothing reads
-    v = np.zeros((n, span))
-    np.multiply(tables.totals[:, None], u, out=v[:, :size])
-    # [i, g]: the flat index of the edge state i takes on draw g
-    edge = np.repeat(np.arange(0, n * width, width)[:, None], span, axis=1)
-    for j in range(width - 1):
-        edge += tables.thresholds[:, j, None] <= v
-    del v  # freed before the walk's own temporaries
-    # a state i is held as i * span, the offset of its row of edge
-    step = tables.targets.ravel()[edge].ravel()
-    step *= span
-    at_step = np.arange(span).reshape(n_chunks, chunk).T.copy()  # [t, c]: g
-    walks = np.empty((chunk, n, n_chunks), dtype=np.int64)  # [t, i, c]
-    cur = np.repeat(np.arange(0, n * span, span)[:, None], n_chunks, axis=1)
-    for t in range(chunk):
-        walks[t] = cur
-        cur = step[cur + at_step[t]]
-    entry = [s]
-    for exit_of in (cur // span).T[:-1].tolist():
-        entry.append(exit_of[entry[-1]])
-    path = walks[:, entry, np.arange(n_chunks)]  # [t, c]
-    path += at_step
-    return edge.ravel()[path.T.ravel()[:size]]
 
 
 def chain_uniforms(seed: int, chains: range, draws: int = TILE):
@@ -299,18 +289,25 @@ def lockstep_symbols(machine: LabeledMatrixMachine, seed: int, chains: range, st
     ``sample_path(machine, "stationary", t + 1, seed, chain=chains[i]).symbols[t]``.
 
     All chains walk at once on ``chain_uniforms``; ``steps``, the number
-    of steps the caller takes, bounds its tiles.  The
-    start states are ``bisect_right`` over the stationary start table, as
-    in ``sample_path``, and each step's edge is the count of the state's
-    thresholds ``<= total * u``, as in ``_walk_blocks``."""
+    of steps the caller takes, bounds its tiles.  The start states are
+    ``bisect_right`` over the stationary start table, as in
+    ``sample_path``, and the steps are ``_lockstep_walk``'s."""
     draws = chain_uniforms(seed, chains, steps + 1)
     start = np.searchsorted(machine._stationary_cdf, next(draws), "right")
-    return _lockstep_walk(machine._edge_tables, start, draws)
+    tables = machine._edge_tables
+    flat_symbols = tables.symbols.ravel()
+    return (flat_symbols[edge] for edge in _lockstep_walk(tables, start, draws))
 
 
 def _lockstep_walk(tables, s: np.ndarray, draws):
+    """Walk every entry of the integer state array ``s`` at once, one step
+    per row of ``draws`` (each broadcast against ``s``), and yield each
+    step's flat edge indices into the (N, W) ``tables.symbols`` and
+    ``tables.targets``.  The edge a state takes on a draw ``u`` is the count
+    of its thresholds ``<= total * u``: the product and comparisons of
+    ``bisect_right`` in ``_walk_scalar``."""
     width = tables.targets.shape[1]
-    flat_symbols, flat_targets = tables.symbols.ravel(), tables.targets.ravel()
+    flat_targets = tables.targets.ravel()
     thresholds = tables.thresholds.T
     for u in draws:
         v = tables.totals[s] * u
@@ -318,7 +315,7 @@ def _lockstep_walk(tables, s: np.ndarray, draws):
         for j in range(width - 1):
             edge += thresholds[j][s] <= v
         s = flat_targets[edge]
-        yield flat_symbols[edge]
+        yield edge
 
 
 def _words(value: int) -> list[int]:

@@ -13,6 +13,7 @@ from emtool.simulate import (
     BLOCK,
     BLOCK_MAX_SLOTS,
     BLOCK_MIN_LEN,
+    CHUNK,
     TILE,
     _lockstep_walk,
     _walk_blocks,
@@ -190,15 +191,16 @@ def test_window_codes_reject_symbols_outside_the_alphabet(bad):
 
 
 def test_sample_path_memory(abc):
-    # 10**6 symbols and states of one byte each, plus the block walk's
-    # temporaries; int64 paths took 23.8 MiB
+    # 10**6 symbols and states of one byte each (1.9 MiB), plus one block's
+    # draws and its recorded edges, one byte per state and draw.  int64
+    # paths took 23.8 MiB, and int64 (states x block) edge tables 7.8 MiB
     tracemalloc.start()
     try:
         run = sample_path(abc, "stationary", 10**6, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 2**20
+    assert peak < 6 * 2**20
     assert run.symbols.dtype == run.states.dtype == np.uint8
 
 
@@ -291,7 +293,7 @@ def test_sample_path_matches_numpy_reference(request, monkeypatch, name):
     block = 64  # a small block, so that every path below crosses its edges
     monkeypatch.setattr("emtool.simulate.BLOCK", block)
     lengths = (0, 1, 5000, block - 1, block, block + 1, 2 * block + 3, BLOCK_MIN_LEN - 1,
-               BLOCK_MIN_LEN)
+               BLOCK_MIN_LEN, CHUNK - 1, CHUNK, CHUNK + 1, block + CHUNK + 1)
     for start in starts:
         for length in lengths:
             for chain in range(4):
@@ -304,17 +306,18 @@ def test_sample_path_matches_numpy_reference(request, monkeypatch, name):
 
 
 def test_sample_path_blocks_match_numpy_reference(request, monkeypatch):
-    # lengths around the real tile and block sizes, on abc's block walk and
-    # dense's scalar walk.  The start draw is the first of the first tile,
-    # so every block of the walk straddles a tile seam, and the draws carry
-    # across seams that a small block never reaches.  The reference path of
-    # one length is a prefix of that of any longer length on one stream
+    # lengths around the real tile, block and chunk sizes, on abc's block
+    # walk and dense's scalar walk.  The start draw is the first of the
+    # first tile, so every block of the walk straddles a tile seam, and the
+    # draws carry across seams that a small block never reaches.  The
+    # reference path of one length is a prefix of that of any longer length
+    # on one stream
     longest = 3 * BLOCK + 7
     for name in ("abc", "dense"):
         machine = _machine(request, name)
         symbols, states = _reference_sample_path(machine, "stationary", longest, 17, 1)
         for length in (TILE - 2, TILE - 1, TILE, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
-                       longest):
+                       longest, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK + 3 * CHUNK + 1):
             for walk, run in _sample_each_walk(monkeypatch, machine, "stationary", length, 17, 1):
                 assert np.array_equal(run.symbols, symbols[:length]), (name, walk)
                 assert np.array_equal(run.states, states[: length + 1]), (name, walk)
@@ -362,12 +365,13 @@ def test_walks_agree_on_draws_at_thresholds(request):
         ties = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)], tables.thresholds.ravel()])
         draws = np.random.default_rng(2).choice(ties[np.isfinite(ties)], 3000)
         for length in (1, 3000):
-            scalar = _walk_scalar(tables.rows, _FixedDraws(draws), 0, length, np.uint8)
+            scalar = _walk_scalar(tables, _FixedDraws(draws), 0, length, np.uint8)
             blocks = _walk_blocks(tables, _FixedDraws(draws), 0, length, np.uint8)
             assert np.array_equal(scalar[0], blocks[0]), name
             assert np.array_equal(scalar[1], blocks[1]), name
             lockstep = _lockstep_walk(tables, np.zeros(1, dtype=np.int64), iter(draws[:length, None]))
-            assert np.array_equal(np.concatenate(list(lockstep)), scalar[0]), name
+            edges = np.concatenate(list(lockstep))
+            assert np.array_equal(tables.symbols.ravel()[edges], scalar[0]), name
 
 
 def _lockstep_uniforms(seed, chains, n):
