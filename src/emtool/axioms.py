@@ -1,7 +1,7 @@
 """The three generator axioms: irreducibility, unifilarity, distinct states.
 
 Also holds the graph and partition primitives they rest on (strongly
-connected and terminal components, partition refinement) and the
+connected components, the unique recurrent one, partition refinement) and the
 breadth-first subset search behind the synchronizing words, which separate
 exact machines (finite synchronizing word) from nonexact ones, and behind
 the subset DFA of the support shift.
@@ -107,19 +107,19 @@ def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def terminal_components(adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components that no edge leaves, in the order of
-    ``strongly_connected_components``."""
+def recurrent_component(adj: list[list[int]], error: type[Exception], message: str) -> list[int]:
+    """Vertices, ascending, of the unique strongly connected component of
+    ``adj`` that no edge leaves.  Raises ``error(message.format(n))`` when
+    there are ``n`` != 1 such components."""
     sccs = strongly_connected_components(adj)
     comp_of = [0] * len(adj)
     for k, comp in enumerate(sccs):
         for v in comp:
             comp_of[v] = k
-    return [
-        comp
-        for k, comp in enumerate(sccs)
-        if all(comp_of[w] == k for v in comp for w in adj[v])
-    ]
+    terminal = [c for k, c in enumerate(sccs) if all(comp_of[w] == k for v in c for w in adj[v])]
+    if len(terminal) != 1:
+        raise error(message.format(len(terminal)))
+    return terminal[0]
 
 
 def refine_partition(delta: np.ndarray, labels) -> np.ndarray:

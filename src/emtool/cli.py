@@ -2,9 +2,11 @@
 
 One subcommand per library operation; machine files flow through positional
 arguments with ``-`` meaning standard input/output, so commands compose in
-pipelines.  Exit codes: 0 success (or true), 1 negative result (invalid,
-not isomorphic, axiom failure), 2 usage error, 3 data or validation error,
-including an allocation that fails (MemoryError).
+pipelines.  Every input, and every output written to a path or ``-``, is
+UTF-8 whatever the locale; the reports commands print follow the stream's
+own encoding.  Exit codes: 0 success (or true), 1 negative result
+(invalid, not isomorphic, axiom failure), 2 usage error, 3 data or
+validation error, including an allocation that fails (MemoryError).
 """
 
 from __future__ import annotations
@@ -27,28 +29,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _load_machine(path: str):
-    machine, warnings, _ = fileio.parse_machine(_read_text(path))
-    for w in warnings:
-        print(f"warning: {path}: {w}", file=sys.stderr)
-    return machine
-
-
 # Bytes that str.split() treats as whitespace among ASCII: \t \n \v \f \r,
 # the separators \x1c-\x1f and the space.
 _ASCII_SPACE = np.zeros(256, dtype=bool)
@@ -56,26 +36,41 @@ _ASCII_SPACE[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20]] = Tru
 
 
 def _read_bytes(path: str) -> bytes:
+    """The bytes of a file, or of standard input for ``-``.  A standard
+    input that gives only text (an in-process caller's ``io.StringIO``) is
+    encoded as UTF-8."""
     if path == "-":
-        return sys.stdin.buffer.read()
+        stdin = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read().encode("utf-8") if stdin is None else stdin.read()
     with open(path, "rb") as fh:
         return fh.read()
 
 
 def _write_bytes(path: str, data) -> None:
-    """Write ``data``, a contiguous buffer of ASCII such as a uint8 array,
-    without a copy.  A standard output that takes only text (an in-process
-    caller's ``io.StringIO``) gets it decoded."""
+    """Write ``data``, a contiguous buffer such as UTF-8 text or a uint8
+    array, without a copy.  A standard output that takes only text (an
+    in-process caller's ``io.StringIO``) gets it decoded as UTF-8."""
     if path == "-":
         out = getattr(sys.stdout, "buffer", None)
         if out is None:
-            sys.stdout.write(bytes(data).decode("ascii"))
+            sys.stdout.write(bytes(data).decode("utf-8"))
             return
         sys.stdout.flush()  # keep any text already written ahead of the bytes
         out.write(data)
     else:
         with open(path, "wb") as fh:
             fh.write(data)
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_bytes(path, text.encode("utf-8"))
+
+
+def _load_machine(path: str):
+    machine, warnings, _ = fileio.parse_machine(_read_bytes(path).decode("utf-8"))
+    for w in warnings:
+        print(f"warning: {path}: {w}", file=sys.stderr)
+    return machine
 
 
 def _load_sample(path: str, alphabet_arg: str | None):

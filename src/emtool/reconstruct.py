@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import is_unifilar, parent_word, state_sync_words, terminal_components
+from .axioms import is_unifilar, parent_word, recurrent_component, state_sync_words
 from .errors import (
     ClassExplosionError,
     InsufficientDataError,
@@ -43,6 +43,8 @@ from .simulate import decode_word, window_codes
 P_FLOOR = 1e-12
 # Weight of the sum-to-one row appended to the convex-fit least squares.
 CONVEX_WEIGHT = 8.0
+# Norm at or below which an orthogonalized vector adds nothing to the future basis.
+BASIS_TOL = 1e-10
 
 
 @dataclass
@@ -53,7 +55,7 @@ class ReconstructedMachine:
     diagnostics: dict
 
 
-def future_feature_basis(machine: LabeledMatrixMachine, tol: float = 1e-10) -> np.ndarray:
+def future_feature_basis(machine: LabeledMatrixMachine) -> np.ndarray:
     """Orthonormal basis of the span of {T^(w) 1 : every word w}.
 
     Two beliefs give every future word the same probability exactly when
@@ -61,10 +63,9 @@ def future_feature_basis(machine: LabeledMatrixMachine, tol: float = 1e-10) -> n
     distributions reduces to comparing projections.  Vectors are extended
     one symbol at a time, breadth-first, and only accepted ones are
     extended; each length up to the last adds a basis vector, so no
-    accepted vector is longer than N - 1 and the search ends.  ``tol``
-    must be finite and nonnegative (ValueError otherwise).
+    accepted vector is longer than N - 1 and the search ends.  A vector
+    whose norm after orthogonalization is at most ``BASIS_TOL`` adds none.
     """
-    require_tolerance(tol, "tol")
     n = machine.n_states
     basis: list[np.ndarray] = []
     queue = [np.ones(n)]
@@ -72,7 +73,7 @@ def future_feature_basis(machine: LabeledMatrixMachine, tol: float = 1e-10) -> n
         for b in basis:
             v = v - (b @ v) * b
         norm = np.linalg.norm(v)
-        if norm <= tol:
+        if norm <= BASIS_TOL:
             continue
         v = v / norm
         basis.append(v)
@@ -179,20 +180,6 @@ def _explore_beliefs(machine, pi, basis, tol, cap):
     return reps, parent, succ, index
 
 
-def _recurrent_classes(succ):
-    """Indices, ascending, of the unique terminal strongly connected
-    component of the class graph ``succ``; everything else is transient
-    belief."""
-    adj = [sorted({step[1] for step in row if step is not None}) for row in succ]
-    terminal = terminal_components(adj)
-    if len(terminal) != 1:
-        raise ReconstructionError(
-            f"expected one recurrent belief component, found {len(terminal)}"
-            " (loosen the merge tolerance)"
-        )
-    return terminal[0]
-
-
 def reconstruct_analytic(
     machine: LabeledMatrixMachine, tol: float = 1e-9, cap: int = 4096
 ) -> ReconstructedMachine:
@@ -236,7 +223,9 @@ def reconstruct_analytic(
     else:
         basis = future_feature_basis(machine)
         reps, parent, succ, _ = _explore_beliefs(machine, pi, basis, tol, cap)
-        recurrent = _recurrent_classes(succ)
+        adj = [sorted({step[1] for step in row if step is not None}) for row in succ]
+        message = "expected one recurrent belief component, found {} (loosen the merge tolerance)"
+        recurrent = recurrent_component(adj, ReconstructionError, message)
         index = {v: i for i, v in enumerate(recurrent)}
         m = len(recurrent)
         matrices = np.zeros((machine.n_symbols, m, m))
@@ -479,8 +468,7 @@ def reconstruct_empirical(
     n_ctx = len(codes)
 
     # Statistical tolerance per context for the convex-representability test.
-    log_term = np.log(1.0 / significance)
-    tols = 2.0 * np.sqrt(log_term / counts)
+    tols = 2.0 * np.sqrt(np.log(1.0 / significance) / counts)
 
     # Greedy elimination, most-mixture-like (smallest residual slack) first.
     # An extreme point of the family is never representable by the others,
@@ -513,7 +501,6 @@ def reconstruct_empirical(
 
     heap = [(slack(i), i) for i in range(n_ctx)]
     heapq.heapify(heap)
-    dropped_order: list[int] = []
     while heap and alive.sum() > 1:
         _, i = heapq.heappop(heap)
         s = slack(i)
@@ -525,27 +512,23 @@ def reconstruct_empirical(
             # only grow as contexts are removed
             break
         alive[i] = False
-        dropped_order.append(i)
 
     survivors = np.flatnonzero(alive)
     n_states = len(survivors)
 
-    # Pool discarded contexts that match a surviving one almost exactly;
-    # their counts sharpen the emission estimates.  Separately, map every
-    # frequent context to its nearest surviving state for transition votes
-    # (a suffix extension of a synchronized context is again synchronized,
-    # just possibly less sharply than the survivors).
-    members: list[list[int]] = [[int(s)] for s in survivors]
-    owner: dict[int, int] = {}
-    for i in range(n_ctx):
-        gaps = np.abs(dists[survivors] - dists[i]).max(axis=1)
-        k = int(np.argmin(gaps))
-        owner[int(codes[i])] = k
-        if not alive[i] and gaps[k] <= pool_tol:
-            members[k].append(i)
+    # Map every frequent context to its nearest surviving state for
+    # transition votes (a suffix extension of a synchronized context is
+    # again synchronized, just possibly less sharply than the survivors),
+    # and pool discarded contexts that match their state almost exactly:
+    # their counts sharpen the emission estimates.
+    gaps = np.stack([np.abs(dists - dists[s]).max(axis=1) for s in survivors], axis=1)
+    owner = gaps.argmin(axis=1)
+    pooled = ~alive & (gaps[np.arange(n_ctx), owner] <= pool_tol)
+    members = [
+        [int(s)] + np.flatnonzero(pooled & (owner == k)).tolist() for k, s in enumerate(survivors)
+    ]
 
     k_sym = model.n_symbols
-    ctx_radix = k_sym ** (l_ctx - 1)
 
     # Next-symbol counts per context and per state (integers: sums are exact).
     first = futures // k_sym ** (l_fut - 1)
@@ -554,23 +537,29 @@ def reconstruct_empirical(
     mass = emis.sum(axis=1)
     emis_probs = emis / mass[:, None]
 
+    # Transition votes: each member context's count of symbol x goes to the
+    # state owning its suffix extension by x, when that context is kept.
+    # ``ext`` is the (kept context, symbol) table of those extensions' codes.
+    ext = codes[:, None] % k_sym ** (l_ctx - 1) * k_sym + np.arange(k_sym)
+    succ_ctx = np.searchsorted(codes, ext).clip(max=n_ctx - 1)
+    member_of = np.where(pooled, owner, -1)  # the state each context is a member of
+    member_of[survivors] = np.arange(n_states)
+    voting = (member_of[:, None] >= 0) & (codes[succ_ctx] == ext)
+    ctx, sym = np.nonzero(voting)
+    tally = np.zeros((n_states, k_sym, n_states))
+    np.add.at(tally, (member_of[ctx], sym, owner[succ_ctx[ctx, sym]]), next_counts[ctx, sym])
+
     # Transitions by count-weighted majority over suffix extensions.
     witnesses: list[str] = []
     warnings: list[str] = []
     matrices = np.zeros((k_sym, n_states, n_states))
-    for k, mem in enumerate(members):
+    for k in range(n_states):
         for x in range(k_sym):
             if emis_probs[k, x] <= 0.0:
                 continue
-            votes = np.zeros(n_states)
-            for i in mem:
-                ext = (int(codes[i]) % ctx_radix) * k_sym + x
-                if ext in owner:
-                    votes[owner[ext]] += next_counts[i, x]
+            votes = tally[k, x]
             if votes.sum() <= 0.0:
-                warnings.append(
-                    f"state {k}: no observed successor for symbol {x}; edge dropped"
-                )
+                warnings.append(f"state {k}: no observed successor for symbol {x}; edge dropped")
                 continue
             succ = int(np.argmax(votes))
             if np.count_nonzero(votes) > 1:
@@ -589,21 +578,17 @@ def reconstruct_empirical(
     matrices /= rows[None, :, None]
 
     adj = [list(np.flatnonzero(matrices.sum(axis=0)[i] > 0.0)) for i in range(n_states)]
-    terminal = terminal_components(adj)
-    if len(terminal) != 1:
-        raise ReconstructionError(
-            f"reconstructed transition graph has {len(terminal)} recurrent components"
-        )
-    if len(terminal[0]) < n_states:
-        keep_states = terminal[0]
-        warnings.append(f"dropped {n_states - len(keep_states)} transient state(s)")
-        sel = np.ix_(range(k_sym), keep_states, keep_states)
+    message = "reconstructed transition graph has {} recurrent components"
+    recurrent = recurrent_component(adj, ReconstructionError, message)
+    if len(recurrent) < n_states:
+        warnings.append(f"dropped {n_states - len(recurrent)} transient state(s)")
+        sel = np.ix_(range(k_sym), recurrent, recurrent)
         matrices = matrices[sel]
         rows = matrices.sum(axis=0).sum(axis=1)
         matrices /= rows[None, :, None]
-        mass = mass[keep_states]
-        members = [members[v] for v in keep_states]
-        n_states = len(keep_states)
+        mass = mass[recurrent]
+        members = [members[v] for v in recurrent]
+        n_states = len(recurrent)
 
     if alphabet is None:
         alphabet = Alphabet(tuple(str(x) for x in range(k_sym)))
@@ -615,14 +600,12 @@ def reconstruct_empirical(
         provenance="empirical" + (" (majority-resolved)" if witnesses else ""),
         diagnostics={
             "n_contexts": n_ctx,
-            "state_contexts": [
-                [model.decode_context(int(codes[i])) for i in mem] for mem in members
-            ],
+            "state_contexts": [[model.decode_context(int(codes[i])) for i in m] for m in members],
             "context_mass": mass,
             "empirical_state_mass": mass / mass.sum(),
             "inconsistent_transitions": witnesses,
             "warnings": warnings,
-            "dropped": len(dropped_order),
+            "dropped": n_ctx - len(survivors),
             "convex_fits": n_fits,
         },
     )

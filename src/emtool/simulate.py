@@ -26,6 +26,7 @@ the narrowest unsigned type of at least 16 bits that holds them.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -36,12 +37,12 @@ from .machine import LabeledMatrixMachine, choice_cdf, resolve_start
 # Uniforms per ``rng.random`` call in ``sample_path``: bounds the floats held
 # at once without changing the stream.
 BLOCK = 1 << 16
-# The block walk's selection (see ``sample_path``).  Measured on a 2-vCPU
-# x86-64 host: with 4 to 16 slots it is even with the scalar loop between
-# 1024 and 2048 symbols and 2.5-3.5x as fast at 2 * 10^5; at 32 slots it is
-# 1.3-1.9x as fast, at 64 even or slower, and at 128 2-3x slower.
-BLOCK_MIN_LEN = 1024
-BLOCK_MAX_SLOTS = 16
+# The block walk's selection (see ``sample_path``), measured with each walk
+# forced on a 2-vCPU x86-64 host: at 2 * 10^5 symbols it is 1.4-3.5x as fast
+# as the scalar loop on 4 to 32 slots and 0.35-1.05x on 48 to 128; per call it
+# overtakes it at about 1300 symbols on 4 slots, 2000-2300 on 16, 3100 on 32.
+BLOCK_MIN_LEN = 2048
+BLOCK_MAX_SLOTS = 32
 # Draws per tile of the PCG64 stream, summed over its chains
 TILE = 4096
 # Draws per chunk of the block walk (see ``_walk_blocks``): 32 and 64 are
@@ -255,7 +256,7 @@ def _pcg64_tiles(hi, lo, inc_hi, inc_lo, steps: int):
     chains' ``G_t * inc``, the XSL-RR output and ``(x >> 11) * 2**-53``, so
     a draw costs a few array operations per tile rather than per step,
     whatever the number of chains."""
-    a_hi, a_lo, g_hi, g_lo = _jump_tables(steps)
+    a_hi, a_lo, g_hi, g_lo = (table[:steps] for table in _jump_tables((steps - 1).bit_length()))
     mult = _limbs(a_hi[:, None], a_lo[:, None])
     zero = np.uint64(0)
     add_hi, add_lo = _mul_add(g_hi[:, None], g_lo[:, None], _limbs(inc_hi, inc_lo), zero, zero)
@@ -268,18 +269,21 @@ def _pcg64_tiles(hi, lo, inc_hi, inc_lo, steps: int):
         yield (x >> np.uint64(11)) * 2.0**-53
 
 
-def _jump_tables(steps: int):
-    """``A_t`` and ``G_t`` for ``t = 1, ..., steps``, as (high, low) uint64
-    arrays, by doubling: ``A_{n+j} = A_j * A_n`` and ``G_{n+j} = A_j * G_n + G_j``."""
+@functools.cache
+def _jump_tables(bits: int):
+    """``A_t`` and ``G_t`` for ``t = 1, ..., 2**bits``, as read-only (high,
+    low) uint64 arrays, by doubling: ``A_{n+j} = A_j * A_n`` and
+    ``G_{n+j} = A_j * G_n + G_j``.  Built once per process for each of the
+    at most 13 lengths up to ``TILE`` (256 KiB in all)."""
     a_hi, a_lo = np.array([_PCG_MULT[0]]), np.array([_PCG_MULT[1]])
     g_hi, g_lo = np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64)
-    while len(a_lo) < steps:
-        j = min(len(a_lo), steps - len(a_lo))
-        a = (a_hi[:j], a_lo[:j])
-        new_a = _mul_add(*a, _limbs(a_hi[-1], a_lo[-1]), np.uint64(0), np.uint64(0))
-        new_g = _mul_add(*a, _limbs(g_hi[-1], g_lo[-1]), g_hi[:j], g_lo[:j])
+    for _ in range(bits):
+        new_a = _mul_add(a_hi, a_lo, _limbs(a_hi[-1], a_lo[-1]), np.uint64(0), np.uint64(0))
+        new_g = _mul_add(a_hi, a_lo, _limbs(g_hi[-1], g_lo[-1]), g_hi, g_lo)
         a_hi, a_lo = np.concatenate([a_hi, new_a[0]]), np.concatenate([a_lo, new_a[1]])
         g_hi, g_lo = np.concatenate([g_hi, new_g[0]]), np.concatenate([g_lo, new_g[1]])
+    for table in (a_hi, a_lo, g_hi, g_lo):
+        table.flags.writeable = False
     return a_hi, a_lo, g_hi, g_lo
 
 

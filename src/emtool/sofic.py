@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import SubsetSearch, refine_partition, strongly_connected_components, terminal_components
+from .axioms import SubsetSearch, recurrent_component, refine_partition, strongly_connected_components
 from .errors import NotIrreducibleShiftError
 from .machine import Alphabet, LabeledMatrixMachine
 
@@ -139,13 +139,9 @@ def fischer_cover(dfa: Dfa) -> LabeledGraph:
     """The unique terminal strongly connected component of the DFA, with
     induced edges — the minimal right-resolving irreducible presentation."""
     graph = _dfa_graph(dfa)
-    terminal = terminal_components(graph.adjacency())
-    if len(terminal) != 1:
-        raise NotIrreducibleShiftError(
-            f"presentation has {len(terminal)} recurrent components; the shift"
-            " is not irreducible"
-        )
-    return _induce(graph, terminal[0])
+    message = "presentation has {} recurrent components; the shift is not irreducible"
+    recurrent = recurrent_component(graph.adjacency(), NotIrreducibleShiftError, message)
+    return _induce(graph, recurrent)
 
 
 @dataclass(frozen=True)

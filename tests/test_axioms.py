@@ -15,6 +15,7 @@ from emtool.axioms import (
     is_irreducible,
     is_unifilar,
     next_symbol_probs,
+    recurrent_component,
     refine_partition,
     separating_word,
     state_sync_words,
@@ -80,6 +81,13 @@ def test_scc_on_plain_graph():
     adj = [[1], [0, 2], [3], [2], []]
     comps = sorted(tuple(c) for c in strongly_connected_components(adj))
     assert comps == [(0, 1), (2, 3), (4,)]
+
+
+def test_recurrent_component_is_the_unique_terminal_component():
+    assert recurrent_component([[1], [0, 2], [3], [2]], ValueError, "{}") == [2, 3]
+    # (2, 3) and (4,) are both terminal
+    with pytest.raises(NotUnifilarError, match=r"^found 2$"):
+        recurrent_component([[1], [0, 2], [3], [2], []], NotUnifilarError, "found {}")
 
 
 def test_unifilar_transitions_even(even):

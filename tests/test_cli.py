@@ -161,6 +161,25 @@ def _python(*argv):
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
+def test_streams_are_utf8_whatever_the_stream_encoding(tmp_path):
+    # a latin-1 stream would write the alphabet's é as the one byte 0xe9
+    machine = LabeledMatrixMachine(1, Alphabet(("é", "ü")), np.full((2, 1, 1), 0.5))
+    save_machine(str(tmp_path / "m.txt"), machine)
+    env = {**os.environ, "PYTHONIOENCODING": "latin-1",
+           "PYTHONPATH": str(Path(emtool.__file__).resolve().parents[1])}
+    for argv in (["minimize", "m.txt"], ["sample", "m.txt", "--len", "9", "--seed", "1", "--out"]):
+        stdout = subprocess.run([sys.executable, "-m", "emtool.cli", *argv, "-"], cwd=tmp_path,
+                                env=env, capture_output=True)
+        to_file = subprocess.run([sys.executable, "-m", "emtool.cli", *argv, "out.txt"],
+                                 cwd=tmp_path, env=env, capture_output=True)
+        assert stdout.returncode == to_file.returncode == 0, argv
+        assert stdout.stdout == (tmp_path / "out.txt").read_bytes(), argv
+        assert "é".encode() in stdout.stdout, argv
+    piped = subprocess.run([sys.executable, "-m", "emtool.cli", "validate", "-"], cwd=tmp_path,
+                           env=env, capture_output=True, input=(tmp_path / "m.txt").read_bytes())
+    assert piped.returncode == 0
+
+
 def test_cold_sample_takes_wide_chains_and_rejects_negative_ones_as_numpy_does(tmp_path):
     machine, path = examples.abc(0.4, 0.6), tmp_path / "abc.m"
     save_machine(str(path), machine)
@@ -432,6 +451,14 @@ def test_reconstruct_empirical_cli(capsys, tmp_path, even_file):
     machine, _, _ = parse_machine(out)
     assert machine.n_states == 2
     assert "provenance: empirical" in err
+
+
+def test_reconstruct_empirical_two_recurrent_components_exits_3(capsys, tmp_path):
+    sample = tmp_path / "two.txt"
+    sample.write_text("0\n" * 20000 + "1\n" * 20000)
+    code, out, err = run(capsys, "reconstruct", "empirical", str(sample), "--min-count", "100")
+    assert (code, out) == (3, "")
+    assert err == "error: reconstructed transition graph has 2 recurrent components\n"
 
 
 @pytest.fixture()

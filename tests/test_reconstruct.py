@@ -15,6 +15,7 @@ from emtool.errors import (
     InsufficientDataError,
     NotIrreducibleError,
     NumericalError,
+    ReconstructionError,
 )
 from emtool.isomorphism import are_isomorphic
 from emtool.machine import (
@@ -271,6 +272,14 @@ def test_empirical_min_count_guard():
     with pytest.raises(InsufficientDataError):
         reconstruct_empirical(np.zeros(200, dtype=np.int64), 2, l_ctx=4, l_fut=2,
                               min_count=10**6)
+
+
+def test_empirical_two_part_sample_has_two_recurrent_components():
+    # each half's contexts vote only into their own half's state
+    symbols = np.repeat(np.array([0, 1], dtype=np.uint8), 20000)
+    with pytest.raises(ReconstructionError) as exc:
+        reconstruct_empirical(symbols, 2)
+    assert str(exc.value) == "reconstructed transition graph has 2 recurrent components"
 
 
 def test_empirical_state_future_matches_machine(even):

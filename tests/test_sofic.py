@@ -141,7 +141,8 @@ def test_fischer_cover_full_shift_is_itself():
 def test_fischer_cover_rejects_reducible_shift():
     # two disjoint unary full shifts on different symbols
     g = LabeledGraph(2, BINARY, ((0, 0, 0), (1, 1, 1)))
-    with pytest.raises(NotIrreducibleShiftError):
+    message = "presentation has 2 recurrent components; the shift is not irreducible"
+    with pytest.raises(NotIrreducibleShiftError, match=f"^{message}$"):
         fischer_cover(minimal_dfa(g))
 
 
